@@ -26,7 +26,9 @@ lies on the branch locus of the corresponding projection exactly when the
 fiber line is tangent to the fiber conic; the restricted-discriminant test
 and the exhaustive branch-locus scan below implement that oracle, and the
 genericity test combines covariant smoothness with a degenerate-fiber
-search over F_p and F_{p^2}.
+search over F_p and F_{p^2}.  The scans build each side's fiber-conic Gram
+entries once per class, as integer ternary terms, and only evaluate them
+at each point.
 """
 
 from __future__ import annotations
@@ -42,7 +44,13 @@ from .errors import (
     VariableSetError,
     ZeroInputError,
 )
-from .finitefield import QuadExtension, projective_points_prime, ternary_zeros_ext
+from .elimination import is_smooth_mod_p
+from .finitefield import (
+    QuadExtension,
+    evaluate_terms_ext,
+    projective_points_prime,
+    ternary_zeros_ext,
+)
 from .matrices import Mat3, block_substitution
 from .poly import VARS_BIQUAD, MultiPoly, _monomial_key
 
@@ -450,51 +458,43 @@ def _require_odd_prime_class(f) -> tuple[Class22, PrimeField]:
     return cls, dom
 
 
-def _eval_entry(entry: MultiPoly, assignment: dict, field: PrimeField) -> int:
-    p = field.p
-    acc = 0
-    for exps, coeff in entry.terms.items():
-        term = coeff
-        for name, e in zip(entry.vars, exps):
-            if e:
-                term = term * pow(assignment[name], e, p) % p
-        acc = (acc + term) % p
-    return acc
+def _side_gram_terms(cls: Class22, side: str):
+    """Fiber-conic Gram entries of one projection as ternary integer terms.
 
-
-def _scalar_conic(cls: Class22, point, side: str):
-    """3x3 scalar Gram of the fiber conic over an F_p point of one plane."""
-    field = cls.domain
+    Over a point of the ``side`` plane the fiber conic lives in the other
+    plane; its Gram matrix is the one contracted in the other block, with
+    entries quadratic in the side's block.  Entry (i, j) is returned as a
+    list of (exponent triple in the side's block, integer coefficient).
+    """
     grams = gram_matrices(cls)
     if side == "x":
-        gram = grams.in_z  # entries quadratic in x: evaluate at the x-point
-        names = X_BLOCK
+        gram, names = grams.in_z, X_BLOCK
     elif side == "z":
-        gram = grams.in_x
-        names = Z_BLOCK
+        gram, names = grams.in_x, Z_BLOCK
     else:
         raise ValueError("side must be 'x' or 'z'")
-    assignment = {name: int(v) % field.p for name, v in zip(names, point)}
-    for other in (Z_BLOCK if side == "x" else X_BLOCK):
-        assignment[other] = 0  # entries do not involve these, but be total
-    return [[_eval_entry(gram[i][j], assignment, field) for j in range(3)] for i in range(3)]
+    idx = [cls.rep.vars.index(n) for n in names]
+    return [
+        [[(tuple(e[k] for k in idx), c) for e, c in gram[i][j].terms.items()] for j in range(3)]
+        for i in range(3)
+    ]
 
 
-def tangency_test(f, point, side: str = "x"):
-    """Restricted discriminant of the fiber conic on the fiber line.
+def _scalar_conic(gram_terms, point, p: int):
+    """3x3 scalar Gram of the fiber conic over an F_p point of one plane."""
+    a0, a1, a2 = point
+    m = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            acc = 0
+            for (e0, e1, e2), c in gram_terms[i][j]:
+                acc += c * a0**e0 * a1**e1 * a2**e2
+            m[i][j] = m[j][i] = acc % p
+    return m
 
-    The line sum(a_i w_i) = 0 is solved for the largest-index nonzero
-    coordinate of ``point``; the conic restricted to the remaining two
-    parameters is alpha s^2 + beta s t + gamma t^2, and the returned value
-    is beta^2 - 4 alpha gamma in F_p.  ``degenerate`` reports the restricted
-    form vanishing identically (the fiber contains the whole line).
-    """
-    cls, field = _require_odd_prime_class(f)
-    p = field.p
-    a = [int(v) % p for v in point]
-    if all(v == 0 for v in a):
-        raise ZeroInputError("projective point must be nonzero")
-    m = _scalar_conic(cls, a, side)
+
+def _restricted_disc(m, a, p: int):
+    """(discriminant, degenerate) of the conic m restricted to the line a.w = 0."""
     pivot = max(i for i in range(3) if a[i])
     params = [i for i in range(3) if i != pivot]
     inv = pow(a[pivot], p - 2, p)
@@ -515,6 +515,23 @@ def tangency_test(f, point, side: str = "x"):
     disc = (beta * beta - 4 * alpha * gamma) % p
     degenerate = alpha == 0 and beta == 0 and gamma == 0
     return disc, degenerate
+
+
+def tangency_test(f, point, side: str = "x"):
+    """Restricted discriminant of the fiber conic on the fiber line.
+
+    The line sum(a_i w_i) = 0 is solved for the largest-index nonzero
+    coordinate of ``point``; the conic restricted to the remaining two
+    parameters is alpha s^2 + beta s t + gamma t^2, and the returned value
+    is beta^2 - 4 alpha gamma in F_p.  ``degenerate`` reports the restricted
+    form vanishing identically (the fiber contains the whole line).
+    """
+    cls, field = _require_odd_prime_class(f)
+    p = field.p
+    a = [int(v) % p for v in point]
+    if all(v == 0 for v in a):
+        raise ZeroInputError("projective point must be nonzero")
+    return _restricted_disc(_scalar_conic(_side_gram_terms(cls, side), a, p), a, p)
 
 
 @dataclass(frozen=True)
@@ -558,8 +575,9 @@ def branch_locus_report(f) -> BranchLocusReport:
     counterexamples = []
     checked = 0
     for side, sextic in (("x", ix), ("z", iz)):
+        gram_terms = _side_gram_terms(cls, side)
         for point in projective_points_prime(p):
-            disc, degenerate = tangency_test(cls, point, side)
+            disc, degenerate = _restricted_disc(_scalar_conic(gram_terms, point, p), point, p)
             if degenerate:
                 raise DegeneratePointError(
                     f"fiber over {point} on the {side}-side contains its whole line",
@@ -593,26 +611,11 @@ def _degenerate_scan_side(cls: Class22, side: str, ext: QuadExtension):
     sextic = covariant_x_ternary(cls) if side == "x" else covariant_z_ternary(cls)
     if sextic.is_zero():
         raise ZeroInputError(f"{side}-side covariant vanishes identically")
-    grams = gram_matrices(cls)
-    gram = grams.in_z if side == "x" else grams.in_x
-    names = X_BLOCK if side == "x" else Z_BLOCK
-    # gram entries as integer-coefficient ternary terms in the block names
-    gram_terms = [
-        [
-            [
-                (tuple(e[cls.rep.vars.index(n)] for n in names), c)
-                for e, c in gram[i][j].terms.items()
-            ]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
+    gram_terms = _side_gram_terms(cls, side)
     sextic_terms = list(sextic.terms.items())
     zeros = ternary_zeros_ext(sextic_terms, 6, ext)
     degenerate = []
     zero = ext.zero()
-    from .finitefield import evaluate_terms_ext
-
     for pt in zeros:
         m = [[evaluate_terms_ext(gram_terms[i][j], pt, ext) for j in range(3)] for i in range(3)]
         a = list(pt)
@@ -670,8 +673,6 @@ def is_generic_mod_p(f, p: int) -> bool:
     """
     if p == 2:
         raise PrimeError("genericity test needs odd characteristic")
-    from .elimination import is_smooth_mod_p
-
     cls = _reduced(f, p)
     if cls.is_zero():
         return False

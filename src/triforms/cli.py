@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="QQ")
     p.add_argument("--primes", default="11")
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; report order is fixed")
     p.set_defaults(func=_cmd_verify)
 
     return parser

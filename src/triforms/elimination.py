@@ -313,7 +313,23 @@ def resultant_of_partials(f: MultiPoly):
     partials = [f.partial_derivative(v) for v in f.vars]
     if any(g.is_zero() for g in partials):
         return f.domain.zero()
-    return macaulay_resultant(*partials)
+    return _resultant_lifting_mod_p(partials)
+
+
+def _resultant_lifting_mod_p(forms):
+    """macaulay_resultant, retried over ZZ when every GF(p) retry degenerates.
+
+    The resultant is an integer polynomial in the coefficients, so the
+    reduction of the integer resultant of the least-residue lifts equals the
+    mod-p one.
+    """
+    try:
+        return macaulay_resultant(*forms)
+    except MacaulayDegenerateError:
+        domain = forms[0].domain
+        if not isinstance(domain, PrimeField):
+            raise
+        return macaulay_resultant(*(_lift(g) for g in forms)) % domain.p
 
 
 NORMALIZATION_SEED = 74025521
@@ -523,11 +539,7 @@ def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:
         return False
     if len(nonzero) == 3:
         try:
-            try:
-                raw = macaulay_resultant(*partials)
-            except MacaulayDegenerateError:
-                # the reduction of the integer resultant equals the mod-p one
-                raw = macaulay_resultant(*(_lift(g) for g in partials)) % p
+            raw = _resultant_lifting_mod_p(partials)
         except MacaulayDegenerateError:
             # too degenerate for the quotient on every retry: certify
             # singularity by exhibiting a singular point instead

@@ -4,8 +4,10 @@ Elements of F_{p^2} = F_p[t]/(t^2 - s t - c) are (a, b) pairs meaning
 a + b t.  For odd p the modulus is t^2 = ns with ns the smallest quadratic
 nonresidue; for p = 2 it is t^2 = t + 1.  Only what the brute-force scans
 need is implemented: ring operations, inversion, and zero tests.  The scans
-themselves work on plain coefficient/exponent data so the inner loops stay
-cheap.
+themselves work on plain coefficient/exponent data.  The zero scan's inner
+Horner loop, which runs about q^2 * degree times, does not call these
+methods: it inlines the multiply-add on integer pairs, using the modulus
+(s, c) of the extension it is given.
 """
 
 from __future__ import annotations
@@ -155,9 +157,11 @@ def ternary_zeros_ext(terms, degree: int, ext: QuadExtension):
 
     Scans the affine chart x = 1 with a Horner double loop (coefficients in
     the last variable precomputed as univariate tables in the middle one),
-    then the line x = 0.  Cost is about q^2 * degree extension products.
+    then the line x = 0.  Cost is about q^2 * degree Horner steps; the
+    F_{p^2} arithmetic of each step is inlined on plain integer pairs with
+    one reduction mod p per component.
     """
-    p = ext.p
+    p, s_mod, c_mod = ext.p, ext.s, ext.c
     add, mul = ext.add, ext.mul
     zero = ext.zero()
     elems = list(ext.elements())
@@ -167,6 +171,8 @@ def ternary_zeros_ext(terms, degree: int, ext: QuadExtension):
     for (e1, e2, e3), c in terms:
         by_t.setdefault(e3, []).append((e2, c % p))
     max_t = max(by_t, default=0)
+    # (u + v t)(ta + tb t) = (u ta + v c tb) + (u tb + v (ta + s tb)) t
+    t_table = [(t, t[0], t[1], c_mod * t[1], t[0] + s_mod * t[1]) for t in elems]
     out = []
     for s in elems:
         spow = [ext.one()]
@@ -174,15 +180,18 @@ def ternary_zeros_ext(terms, degree: int, ext: QuadExtension):
             spow.append(mul(spow[-1], s))
         coeffs = []
         for k in range(max_t, -1, -1):
-            acc = zero
+            ca = cb = 0
             for e2, c in by_t.get(k, ()):
-                acc = add(acc, ext.mul_int(spow[e2], c))
-            coeffs.append(acc)
-        for t in elems:
-            acc = coeffs[0]
-            for ck in coeffs[1:]:
-                acc = add(mul(acc, t), ck)
-            if acc == zero:
+                sa, sb = spow[e2]
+                ca += c * sa
+                cb += c * sb
+            coeffs.append((ca % p, cb % p))
+        (lead_a, lead_b), rest = coeffs[0], coeffs[1:]
+        for t, ta, tb, ctb, tas in t_table:
+            u, v = lead_a, lead_b
+            for ka, kb in rest:
+                u, v = (u * ta + v * ctb + ka) % p, (u * tb + v * tas + kb) % p
+            if not u and not v:
                 out.append((ext.one(), s, t))
 
     # line x = 0: g(s, t) = f(0, s, t); points (0, 1, t) and (0, 0, 1)

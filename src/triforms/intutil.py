@@ -45,19 +45,24 @@ def primes_up_to(bound: int) -> list[int]:
 
 def integer_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
+    if k < 1:
+        raise ValueError("root order must be positive")
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
     if k == 1:
         return n
-    x = int(round(n ** (1.0 / k)))
-    # float seed can be off by a few; correct exactly
-    while x > 0 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    if k == 2:
+        return isqrt(n)
+    # integer Newton from a power of two above the root: the iterates
+    # decrease strictly until they reach the floor of the root
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def exact_nth_root(n: int, k: int) -> int | None:

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from triforms import biquadratic
 from triforms.biquadratic import (
     X_BLOCK,
     Z_BLOCK,
+    _MONOMIALS_22,
     act_22,
     branch_locus_report,
     canonicalize,
@@ -31,6 +33,7 @@ from triforms.errors import (
     SingularMatrixError,
     ZeroInputError,
 )
+from triforms.finitefield import projective_points_prime
 from triforms.fixtures import diagonal_22_cycle, diagonal_22_same, sigma_squared
 from triforms.matrices import Mat3
 from triforms.poly import VARS_BIQUAD, MultiPoly, parse_poly
@@ -364,6 +367,65 @@ def test_branch_locus_consistency_random(rng):
         assert report.points_checked == 2 * (11**2 + 11 + 1)
         assert report.pairing["x_projection_branch"] == "sextic_covariant_x"
         found += 1
+
+
+def _pointwise_branch_locus(cls, p):
+    """branch_locus_report's outcome rebuilt from public per-point calls."""
+    counterexamples = []
+    checked = 0
+    for side, sextic in (("x", covariant_x_ternary(cls)), ("z", covariant_z_ternary(cls))):
+        for point in projective_points_prime(p):
+            disc, degenerate = tangency_test(cls, point, side)
+            if degenerate:
+                return ("degenerate", side, point)
+            cov = sextic.evaluate(list(point))
+            if (disc == 0) != (cov == 0):
+                counterexamples.append((side, point, disc, cov))
+            checked += 1
+    return (checked, tuple(counterexamples))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_branch_locus_report_matches_pointwise_tangency(rng, p):
+    outcomes = set()
+    for trial in range(8):
+        # sparse classes reach degenerate fibers too, dense ones rarely do
+        density = 0.25 if trial % 2 else 1.0
+        terms = {m: rng.randrange(p) for m in _MONOMIALS_22 if rng.random() < density}
+        cls = canonicalize(MultiPoly(GF(p), VARS_BIQUAD, terms))
+        if cls.is_zero():
+            continue
+        expected = _pointwise_branch_locus(cls, p)
+        try:
+            report = branch_locus_report(cls)
+        except DegeneratePointError as exc:
+            assert expected == ("degenerate", exc.side, exc.point)
+            outcomes.add("degenerate")
+            continue
+        assert (report.points_checked, report.counterexamples) == expected
+        outcomes.add("report")
+    assert outcomes == {"degenerate", "report"}
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_branch_locus_report_builds_grams_once_per_side(rng, monkeypatch, p):
+    calls = []
+    original = biquadratic.gram_matrices
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(biquadratic, "gram_matrices", counting)
+    while True:
+        cls = canonicalize(rand_form22(GF(p), rng, 10))
+        try:
+            branch_locus_report(cls)
+        except (DegeneratePointError, ZeroInputError):
+            calls.clear()
+            continue
+        break
+    assert 1 <= len(calls) <= 2
 
 
 # -- genericity -------------------------------------------------------------------

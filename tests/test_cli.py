@@ -90,6 +90,18 @@ def test_tuple_equiv_subcommand():
     assert data["s_unit"] is True
 
 
+def test_tuple_equiv_beyond_float_range():
+    big = 10**400
+    proc = run_cli("tuple-equiv", "--t1", "1,1", "--t2", f"{big},{big * 10**200}")
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout)
+    assert data["equivalent"] is True
+    assert data["alpha_power_d"] == str(10**200)
+    proc = run_cli("tuple-equiv", "--t1", "1,1", "--t2", f"{2 * big},{big}")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"equivalent": False}
+
+
 def test_canonicalize_subcommand():
     proc = run_cli("canonicalize", "--form", str(FIXTURES / "sigma_squared.txt"))
     data = json.loads(proc.stdout)
@@ -137,6 +149,12 @@ def test_verify_subcommand_deterministic():
 def test_verify_unknown_suite_exits_2():
     proc = run_cli("verify", "--suite", "nonsense")
     assert proc.returncode == 2
+
+
+def test_verify_has_no_jobs_flag():
+    proc = run_cli("verify", "--suite", "euler", "--jobs", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 def test_malformed_polynomial_exits_2(tmp_path):

@@ -22,6 +22,7 @@ from triforms.elimination import (
 from triforms.errors import (
     ConstantSupportError,
     DegreeError,
+    MacaulayDegenerateError,
     ZeroInputError,
 )
 from triforms.fixtures import coordinate_triangle, fermat
@@ -107,6 +108,20 @@ def test_degenerate_minor_retry_path():
     value = macaulay_resultant(g1, g2, g3)
     assert value == 49920
     assert macaulay_resultant(g1.scale(2), g2, g3) == 2**4 * value
+
+
+def test_raw_discriminant_mod_p_when_every_retry_degenerates():
+    # every GF(5) retry of the Macaulay quotient degenerates for this smooth
+    # quartic; the value comes from the integer resultant of the lifts
+    f = parse_poly(
+        "4*x^3*y + 3*x^3*z + 3*x^2*y*z + x^2*z^2 + x*y^2*z + 4*x*y*z^2 + 2*y^3*z + 4*z^4"
+    )
+    fbar = f.reduce_mod_p(5)
+    with pytest.raises(MacaulayDegenerateError):
+        macaulay_resultant(*(fbar.partial_derivative(v) for v in fbar.vars))
+    raw = discriminant(fbar, normalize=False).raw
+    assert raw == resultant_of_partials(f) % 5 != 0
+    assert is_smooth_mod_p(f, 5) is True
 
 
 def test_rational_resultant_clears_denominators():
