@@ -26,9 +26,10 @@ lies on the branch locus of the corresponding projection exactly when the
 fiber line is tangent to the fiber conic; the restricted-discriminant test
 and the exhaustive branch-locus scan below implement that oracle, and the
 genericity test combines covariant smoothness with a degenerate-fiber
-search over F_p and F_{p^2}.  The scans build each side's fiber-conic Gram
-entries once per class, as integer ternary terms, and only evaluate them
-at each point.
+search over F_p and F_{p^2}.  Each scan builds the class's Gram pair once:
+one side's Gram matrix gives both its fiber conics (entries as integer
+ternary terms, of which only the six distinct ones are evaluated at each
+point) and, through its adjugate, its sextic covariant.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ from .poly import VARS_BIQUAD, MultiPoly, _monomial_key
 
 X_BLOCK = ("x1", "x2", "x3")
 Z_BLOCK = ("z1", "z2", "z3")
-X_TERNARY = X_BLOCK
-Z_TERNARY = Z_BLOCK
 
 
 def incidence_form(domain: Domain, variables=VARS_BIQUAD) -> MultiPoly:
@@ -306,15 +305,18 @@ def act_22(gamma: Mat3, cls: Class22) -> Class22:
 # -- Gram matrices and sextic covariants --------------------------------------
 
 
-def _halving_domain(domain: Domain) -> Domain:
+def _halved(f) -> MultiPoly:
+    """The representative over a domain with exact halving (ZZ moves to QQ)."""
+    rep = f.rep if isinstance(f, Class22) else f
+    domain = rep.domain
     if domain == ZZ:
-        return QQ
+        return rep.to_rationals()
     if domain == QQ:
-        return QQ
+        return rep
     if isinstance(domain, PrimeField):
         if domain.p == 2:
             raise PrimeError("Gram matrices need odd characteristic")
-        return domain
+        return rep
     raise DomainMismatchError(f"no Gram matrices over {domain.name}")
 
 
@@ -389,47 +391,43 @@ class GramPair:
 
 
 def gram_matrices(f) -> GramPair:
-    rep = f.rep if isinstance(f, Class22) else f
-    dom = _halving_domain(rep.domain)
-    if dom != rep.domain:
-        rep = rep.to_rationals()
+    rep = _halved(f)
     return GramPair(
         in_x=gram_in_block(rep, X_BLOCK),
         in_z=gram_in_block(rep, Z_BLOCK),
     )
 
 
-def _covariant(rep: MultiPoly, own_block, other_block) -> MultiPoly:
-    dom = _halving_domain(rep.domain)
-    if dom != rep.domain:
-        rep = rep.to_rationals()
-    gram = gram_in_block(rep, other_block)
-    adj = poly_matrix_adjugate(gram)
-    return contract_with_block(adj, rep.vars, own_block, dom)
+def _adjugate_contraction(gram, block) -> MultiPoly:
+    """(b) Adj(gram) (b)^t for the block variables: one side's sextic covariant."""
+    entry = gram[0][0]
+    return contract_with_block(poly_matrix_adjugate(gram), entry.vars, block, entry.domain)
 
 
-def sextic_covariant_x(f, x_block=X_BLOCK, z_block=Z_BLOCK) -> MultiPoly:
+def _covariant(f, own_block, other_block) -> MultiPoly:
+    return _adjugate_contraction(gram_in_block(_halved(f), other_block), own_block)
+
+
+def sextic_covariant_x(f) -> MultiPoly:
     """(x) Adj(G) (x)^t for G the Gram matrix in the z-block; sextic in x."""
-    rep = f.rep if isinstance(f, Class22) else f
-    return _covariant(rep, x_block, z_block)
+    return _covariant(f, X_BLOCK, Z_BLOCK)
 
 
-def sextic_covariant_z(f, x_block=X_BLOCK, z_block=Z_BLOCK) -> MultiPoly:
+def sextic_covariant_z(f) -> MultiPoly:
     """(z) Adj(G) (z)^t for G the Gram matrix in the x-block; sextic in z."""
-    rep = f.rep if isinstance(f, Class22) else f
-    return _covariant(rep, z_block, x_block)
+    return _covariant(f, Z_BLOCK, X_BLOCK)
 
 
 def covariant_x_ternary(f) -> MultiPoly:
     """sextic_covariant_x as an honest ternary form in (x1, x2, x3)."""
-    return sextic_covariant_x(f).restrict_to_vars(X_TERNARY)
+    return sextic_covariant_x(f).restrict_to_vars(X_BLOCK)
 
 
 def covariant_z_ternary(f) -> MultiPoly:
-    return sextic_covariant_z(f).restrict_to_vars(Z_TERNARY)
+    return sextic_covariant_z(f).restrict_to_vars(Z_BLOCK)
 
 
-def verify_well_defined(f: MultiPoly, L: MultiPoly, x_block=X_BLOCK, z_block=Z_BLOCK) -> bool:
+def verify_well_defined(f: MultiPoly, L: MultiPoly) -> bool:
     """Covariants agree on f and f + L*sigma computed from raw representatives.
 
     Works over any variable superset of the two blocks, so L (and f) may
@@ -440,8 +438,8 @@ def verify_well_defined(f: MultiPoly, L: MultiPoly, x_block=X_BLOCK, z_block=Z_B
         raise VariableSetError("f and L must share a variable set")
     sigma = incidence_form(f.domain, f.vars)
     shifted = f + L * sigma
-    same_x = _covariant(f, x_block, z_block) == _covariant(shifted, x_block, z_block)
-    same_z = _covariant(f, z_block, x_block) == _covariant(shifted, z_block, x_block)
+    same_x = _covariant(f, X_BLOCK, Z_BLOCK) == _covariant(shifted, X_BLOCK, Z_BLOCK)
+    same_z = _covariant(f, Z_BLOCK, X_BLOCK) == _covariant(shifted, Z_BLOCK, X_BLOCK)
     return same_x and same_z
 
 
@@ -458,38 +456,52 @@ def _require_odd_prime_class(f) -> tuple[Class22, PrimeField]:
     return cls, dom
 
 
-def _side_gram_terms(cls: Class22, side: str):
-    """Fiber-conic Gram entries of one projection as ternary integer terms.
+def _sides(cls: Class22):
+    """(side, block, fiber-conic Gram matrix) of both projections, from one build.
 
-    Over a point of the ``side`` plane the fiber conic lives in the other
-    plane; its Gram matrix is the one contracted in the other block, with
-    entries quadratic in the side's block.  Entry (i, j) is returned as a
-    list of (exponent triple in the side's block, integer coefficient).
+    Over a point of the x-plane the fiber conic lives in the z-plane: its
+    Gram matrix is the one contracted in the z-block, with entries quadratic
+    in x, and the adjugate of that same matrix contracted with x is the
+    x-sextic covariant.  The z-side mirrors this.  This is the only place
+    that pairs a side with its Gram matrix.
     """
     grams = gram_matrices(cls)
-    if side == "x":
-        gram, names = grams.in_z, X_BLOCK
-    elif side == "z":
-        gram, names = grams.in_x, Z_BLOCK
-    else:
-        raise ValueError("side must be 'x' or 'z'")
-    idx = [cls.rep.vars.index(n) for n in names]
+    return (("x", X_BLOCK, grams.in_z), ("z", Z_BLOCK, grams.in_x))
+
+
+def _ternary_terms(gram, block):
+    """Gram entries as lists of (exponent triple in the block, integer coefficient)."""
+    idx = [gram[0][0].vars.index(n) for n in block]
     return [
         [[(tuple(e[k] for k in idx), c) for e, c in gram[i][j].terms.items()] for j in range(3)]
         for i in range(3)
     ]
 
 
-def _scalar_conic(gram_terms, point, p: int):
-    """3x3 scalar Gram of the fiber conic over an F_p point of one plane."""
+def _scan_sides(cls: Class22):
+    """(side, Gram entries as ternary terms, ternary sextic covariant) per side."""
+    return [
+        (side, _ternary_terms(gram, block),
+         _adjugate_contraction(gram, block).restrict_to_vars(block))
+        for side, block, gram in _sides(cls)
+    ]
+
+
+def _eval_fp(terms, point, p: int) -> int:
+    """Value mod p of integer ternary terms at an integer point."""
     a0, a1, a2 = point
-    m = [[0] * 3 for _ in range(3)]
+    acc = 0
+    for (e0, e1, e2), c in terms:
+        acc += c * a0**e0 * a1**e1 * a2**e2
+    return acc % p
+
+
+def _symmetric_conic(gram_terms, value):
+    """3x3 scalar Gram of a fiber conic, evaluating only the six distinct entries."""
+    m = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            acc = 0
-            for (e0, e1, e2), c in gram_terms[i][j]:
-                acc += c * a0**e0 * a1**e1 * a2**e2
-            m[i][j] = m[j][i] = acc % p
+            m[i][j] = m[j][i] = value(gram_terms[i][j])
     return m
 
 
@@ -531,7 +543,11 @@ def tangency_test(f, point, side: str = "x"):
     a = [int(v) % p for v in point]
     if all(v == 0 for v in a):
         raise ZeroInputError("projective point must be nonzero")
-    return _restricted_disc(_scalar_conic(_side_gram_terms(cls, side), a, p), a, p)
+    for name, block, gram in _sides(cls):
+        if name == side:
+            m = _symmetric_conic(_ternary_terms(gram, block), lambda t: _eval_fp(t, a, p))
+            return _restricted_disc(m, a, p)
+    raise ValueError("side must be 'x' or 'z'")
 
 
 @dataclass(frozen=True)
@@ -570,21 +586,20 @@ def branch_locus_report(f) -> BranchLocusReport:
     if cls.is_zero():
         raise ZeroInputError("the zero class has no branch locus")
     p = field.p
-    ix = covariant_x_ternary(cls)
-    iz = covariant_z_ternary(cls)
     counterexamples = []
     checked = 0
-    for side, sextic in (("x", ix), ("z", iz)):
-        gram_terms = _side_gram_terms(cls, side)
+    for side, gram_terms, sextic in _scan_sides(cls):
+        sextic_terms = list(sextic.terms.items())
         for point in projective_points_prime(p):
-            disc, degenerate = _restricted_disc(_scalar_conic(gram_terms, point, p), point, p)
+            m = _symmetric_conic(gram_terms, lambda t: _eval_fp(t, point, p))
+            disc, degenerate = _restricted_disc(m, point, p)
             if degenerate:
                 raise DegeneratePointError(
                     f"fiber over {point} on the {side}-side contains its whole line",
                     point=point,
                     side=side,
                 )
-            cov = sextic.evaluate([v % p for v in point])
+            cov = _eval_fp(sextic_terms, point, p)
             if (disc == 0) != (cov == 0):
                 counterexamples.append((side, point, disc, cov))
             checked += 1
@@ -600,46 +615,38 @@ def branch_locus_report(f) -> BranchLocusReport:
     )
 
 
-def _degenerate_scan_side(cls: Class22, side: str, ext: QuadExtension):
+def _degenerate_scan_side(side: str, gram_terms, sextic: MultiPoly, ext: QuadExtension):
     """Degenerate fiber points over P^2(F_{p^2}) for one projection.
 
+    ``gram_terms`` and ``sextic`` are one side's entry of ``_scan_sides``.
     Degenerate points lie on the vanishing of the side's sextic covariant,
-    so only the covariant's zero locus is examined pointwise.
+    so only the covariant's zero locus is examined pointwise, evaluating the
+    six distinct Gram entries there.
     """
-    field = cls.domain
-    p = field.p
-    sextic = covariant_x_ternary(cls) if side == "x" else covariant_z_ternary(cls)
     if sextic.is_zero():
         raise ZeroInputError(f"{side}-side covariant vanishes identically")
-    gram_terms = _side_gram_terms(cls, side)
-    sextic_terms = list(sextic.terms.items())
-    zeros = ternary_zeros_ext(sextic_terms, 6, ext)
-    degenerate = []
     zero = ext.zero()
-    for pt in zeros:
-        m = [[evaluate_terms_ext(gram_terms[i][j], pt, ext) for j in range(3)] for i in range(3)]
-        a = list(pt)
-        pivot = max(i for i in range(3) if a[i] != zero)
-        params = [i for i in range(3) if i != pivot]
+
+    def qform(m, u, v):
+        acc = zero
+        for i in range(3):
+            for j in range(3):
+                acc = ext.add(acc, ext.mul(ext.mul(u[i], m[i][j]), v[j]))
+        return acc
+
+    degenerate = []
+    for pt in ternary_zeros_ext(list(sextic.terms.items()), 6, ext):
+        m = _symmetric_conic(gram_terms, lambda t: evaluate_terms_ext(t, pt, ext))
+        # the line a.w = 0 is spanned by a_pivot e_k - a_k e_pivot, k != pivot
+        pivot = max(i for i in range(3) if pt[i] != zero)
         vecs = []
-        for k in params:
-            vec = [zero, zero, zero]
-            vec[k] = a[pivot]
-            vec[pivot] = ext.neg(a[k])
-            vecs.append(vec)
-
-        def qform(u, v):
-            acc = zero
-            for i in range(3):
-                for j in range(3):
-                    acc = ext.add(acc, ext.mul(ext.mul(u[i], m[i][j]), v[j]))
-            return acc
-
-        if (
-            qform(vecs[0], vecs[0]) == zero
-            and qform(vecs[1], vecs[1]) == zero
-            and qform(vecs[0], vecs[1]) == zero
-        ):
+        for k in range(3):
+            if k != pivot:
+                vec = [zero] * 3
+                vec[k], vec[pivot] = pt[pivot], ext.neg(pt[k])
+                vecs.append(vec)
+        u, v = vecs
+        if qform(m, u, u) == zero and qform(m, v, v) == zero and qform(m, u, v) == zero:
             degenerate.append(pt)
     return degenerate
 
@@ -649,8 +656,8 @@ def degenerate_points(f, p: int | None = None):
     cls, field = _require_odd_prime_class(f if p is None else _reduced(f, p))
     ext = QuadExtension(field.p)
     return {
-        "x": _degenerate_scan_side(cls, "x", ext),
-        "z": _degenerate_scan_side(cls, "z", ext),
+        side: _degenerate_scan_side(side, gram_terms, sextic, ext)
+        for side, gram_terms, sextic in _scan_sides(cls)
     }
 
 
@@ -676,15 +683,10 @@ def is_generic_mod_p(f, p: int) -> bool:
     cls = _reduced(f, p)
     if cls.is_zero():
         return False
-    ix = covariant_x_ternary(cls)
-    iz = covariant_z_ternary(cls)
-    if ix.is_zero() or iz.is_zero():
+    sides = _scan_sides(cls)
+    if any(sextic.is_zero() for _, _, sextic in sides):
         return False
-    if not is_smooth_mod_p(ix, p) or not is_smooth_mod_p(iz, p):
+    if not all(is_smooth_mod_p(sextic, p) for _, _, sextic in sides):
         return False
     ext = QuadExtension(p)
-    if _degenerate_scan_side(cls, "x", ext):
-        return False
-    if _degenerate_scan_side(cls, "z", ext):
-        return False
-    return True
+    return not any(_degenerate_scan_side(*side, ext) for side in sides)

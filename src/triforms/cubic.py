@@ -33,13 +33,14 @@ from math import gcd
 
 from .domains import QQ, ZZ, Domain, PrimeField
 from .errors import (
+    BudgetExceededError,
     DegreeError,
     DomainMismatchError,
     PrimeError,
     VariableSetError,
     ZeroInputError,
 )
-from .intutil import rational_nth_roots, strip_primes
+from .intutil import is_prime, rational_nth_roots, strip_primes, trial_factor
 
 # Bracket monomials: letters are 0..k-1, each bracket lists three letters;
 # every letter occurs in exactly three brackets.
@@ -148,26 +149,25 @@ def _eval_domain(f):
     raise DomainMismatchError(f"cubic invariants unsupported over {dom.name}")
 
 
-def cubic_I(f):
-    """Degree-4 generating invariant of a ternary cubic."""
+def _scaled_invariant(f, symbol, scale: Fraction):
+    """The bracket monomial ``symbol`` evaluated on f, times the frozen scale."""
     _check_cubic(f)
     g, dom = _eval_domain(f)
-    value = _evaluate_symbol(_expand_symbol(_SYMBOL_DEG4), g, dom)
+    value = _evaluate_symbol(_expand_symbol(symbol), g, dom)
     if dom == QQ:
-        return value * I_SCALE
-    num, den = I_SCALE.numerator, I_SCALE.denominator
+        return value * scale
+    num, den = scale.numerator, scale.denominator
     return dom.mul(value, dom.mul(dom.from_int(num), dom.inv(dom.from_int(den))))
+
+
+def cubic_I(f):
+    """Degree-4 generating invariant of a ternary cubic."""
+    return _scaled_invariant(f, _SYMBOL_DEG4, I_SCALE)
 
 
 def cubic_J(f):
     """Degree-6 generating invariant of a ternary cubic."""
-    _check_cubic(f)
-    g, dom = _eval_domain(f)
-    value = _evaluate_symbol(_expand_symbol(_SYMBOL_DEG6), g, dom)
-    if dom == QQ:
-        return value * J_SCALE
-    num, den = J_SCALE.numerator, J_SCALE.denominator
-    return dom.mul(value, dom.mul(dom.from_int(num), dom.inv(dom.from_int(den))))
+    return _scaled_invariant(f, _SYMBOL_DEG6, J_SCALE)
 
 
 def cubic_invariants(f):
@@ -224,24 +224,27 @@ def scale_tuple(lam, t: InvariantTuple) -> InvariantTuple:
     )
 
 
+# Denominators are trial-divided up to _TRIAL_BOUND; the cofactor left over
+# is accepted only when it is certainly prime.
+_TRIAL_BOUND = 10**6
+_MILLER_RABIN_LIMIT = 33 * 10**23  # is_prime is deterministic below this
+
+
 def _integralize(t: InvariantTuple) -> tuple[int, ...]:
     """Clear denominators by the smallest positive integer weighted scaling."""
     lam = 1
     for v, w in zip(t.values, t.weights):
         # smallest k with den | k**w, built prime by prime with ceil(e/w)
-        k = 1
-        d = v.denominator
-        q = 2
-        while q * q <= d:
-            if d % q == 0:
-                e = 0
-                while d % q == 0:
-                    d //= q
-                    e += 1
-                k *= q ** -(-e // w)
-            q += 1
-        if d > 1:
-            k *= d
+        factors, rest = trial_factor(v.denominator, _TRIAL_BOUND)
+        # every prime factor of rest exceeds the bound, so below its square
+        # rest is 1 or prime
+        if rest >= _TRIAL_BOUND**2 and not (rest < _MILLER_RABIN_LIMIT and is_prime(rest)):
+            raise BudgetExceededError(
+                f"denominator {v.denominator} has a factor beyond the trial-division budget"
+            )
+        k = rest
+        for q, e in factors.items():
+            k *= q ** -(-e // w)
         lam = lam * k // gcd(lam, k)
     scaled = scale_tuple(Fraction(lam), t)
     return tuple(v.numerator for v in scaled.values)
@@ -311,10 +314,6 @@ def tuples_equivalent(
         return None
     d = t1.weight_gcd
     powers = {a**d for a in survivors}
-    if len(powers) != 1:
-        # sign ambiguity with odd gcd weight: report each candidate separately
-        # via its own power; deterministic choice: the positive one first
-        survivors.sort()
     alpha_d = sorted(powers)[0]
     return EquivalenceWitness(
         alpha_candidates=tuple(sorted(survivors)),

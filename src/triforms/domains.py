@@ -58,9 +58,6 @@ class Domain:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def halve(self, a):
         """a/2 where it exists exactly; PrimeError in characteristic 2."""
         raise NotImplementedError

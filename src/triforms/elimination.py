@@ -41,6 +41,7 @@ from .errors import (
     VariableSetError,
     ZeroInputError,
 )
+from .finitefield import QuadExtension, evaluate_terms_ext, ternary_zeros_ext
 from .intutil import strip_primes, trial_factor
 from .poly import MultiPoly
 
@@ -543,7 +544,7 @@ def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:
         except MacaulayDegenerateError:
             # too degenerate for the quotient on every retry: certify
             # singularity by exhibiting a singular point instead
-            if _singular_point_exists(fbar, p):
+            if singular_points_fp2(fbar, p):
                 return False
             raise
         if raw != 0:
@@ -568,15 +569,13 @@ def _lift(g: MultiPoly) -> MultiPoly:
     return MultiPoly(ZZ, g.vars, dict(g.terms))
 
 
-def _singular_point_exists(fbar: MultiPoly, p: int) -> bool:
-    """Explicit singular point of the curve over F_p or F_{p^2}.
+def singular_points_fp2(fbar: MultiPoly, p: int) -> list:
+    """Singular points of the curve over P^2(F_{p^2}), as pairs a + b t.
 
     Sound singularity certificate for inputs too degenerate for the
     Macaulay quotient (e.g. partials with a common factor).  Zeros of the
     form are enumerated first; the partials are checked only there.
     """
-    from .finitefield import QuadExtension, evaluate_terms_ext, ternary_zeros_ext
-
     ext = QuadExtension(p)
     zeros = ternary_zeros_ext(
         list(fbar.terms.items()), fbar.homogeneous_degree(), ext
@@ -585,10 +584,11 @@ def _singular_point_exists(fbar: MultiPoly, p: int) -> bool:
         list(fbar.partial_derivative(v).terms.items()) for v in fbar.vars
     ]
     zero = ext.zero()
-    for pt in zeros:
-        if all(evaluate_terms_ext(ts, pt, ext) == zero for ts in partial_terms):
-            return True
-    return False
+    return [
+        pt
+        for pt in zeros
+        if all(evaluate_terms_ext(ts, pt, ext) == zero for ts in partial_terms)
+    ]
 
 
 def bad_primes(

@@ -43,10 +43,6 @@ class ConstantSupportError(TriformsError):
     kind = "constant-support"
 
 
-class NormalizationUnavailableError(TriformsError):
-    kind = "normalization-unavailable"
-
-
 class PrimeError(TriformsError):
     kind = "bad-prime"
 
@@ -64,6 +60,12 @@ class DegeneratePointError(TriformsError):
         super().__init__(message)
         self.point = point
         self.side = side
+
+
+class BudgetExceededError(TriformsError):
+    """The work an input needs exceeds a fixed budget; refused, not guessed."""
+
+    kind = "budget"
 
 
 class ParseError(TriformsError):

@@ -3,7 +3,7 @@
 Elements of F_{p^2} = F_p[t]/(t^2 - s t - c) are (a, b) pairs meaning
 a + b t.  For odd p the modulus is t^2 = ns with ns the smallest quadratic
 nonresidue; for p = 2 it is t^2 = t + 1.  Only what the brute-force scans
-need is implemented: ring operations, inversion, and zero tests.  The scans
+need is implemented: addition, negation and multiplication.  The scans
 themselves work on plain coefficient/exponent data.  The zero scan's inner
 Horner loop, which runs about q^2 * degree times, does not call these
 methods: it inlines the multiply-add on integer pairs, using the modulus
@@ -27,7 +27,6 @@ class QuadExtension:
             self.s, self.c = 1, 1
         else:
             self.s, self.c = 0, self._nonresidue(p)
-        self.q = p * p
 
     @staticmethod
     def _nonresidue(p: int) -> int:
@@ -55,10 +54,6 @@ class QuadExtension:
         p = self.p
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
 
-    def sub(self, x, y):
-        p = self.p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
-
     def neg(self, x):
         p = self.p
         return ((-x[0]) % p, (-x[1]) % p)
@@ -73,22 +68,6 @@ class QuadExtension:
     def mul_int(self, x, k: int):
         p = self.p
         return (x[0] * k % p, x[1] * k % p)
-
-    def square(self, x):
-        return self.mul(x, x)
-
-    def inv(self, x):
-        p, s, c = self.p, self.s, self.c
-        a, b = x
-        # (a + b t)(a + s b - b t) = a^2 + s a b - c b^2  (the norm)
-        n = (a * a + s * a * b - c * b * b) % p
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in F_{p^2}")
-        ninv = pow(n, p - 2, p)
-        return ((a + s * b) * ninv % p, (-b) * ninv % p)
-
-    def is_zero(self, x) -> bool:
-        return x == (0, 0)
 
     def pow_int(self, x, e: int):
         result = self.one()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -113,7 +113,8 @@ def trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
     if n == 0:
         raise ZeroDivisionError("cannot factor 0")
     factors: dict[int, int] = {}
-    for p in primes_up_to(bound):
+    # primes above isqrt(n) are never tried: the loop stops at p * p > n
+    for p in primes_up_to(min(bound, isqrt(n))):
         if p * p > n:
             break
         while n % p == 0:
@@ -123,10 +124,3 @@ def trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
         factors[n] = factors.get(n, 0) + 1
         n = 1
     return factors, n
-
-
-def gcd_many(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, int(v))
-    return g

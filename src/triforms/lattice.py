@@ -140,9 +140,6 @@ class IsometryCandidate:
         )
         return cls(rows, det, rows[1][1], quarter, residual)
 
-    def preserves_gram(self) -> bool:
-        return self.residual_zero
-
     def inverse_rows(self):
         d = self.det
         (a, b), (c, e) = self.entries

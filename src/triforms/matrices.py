@@ -109,9 +109,6 @@ class Mat3:
         """det(M) (M^-1)^t for invertible M; transpose of the adjugate."""
         return self.adjugate().transpose()
 
-    def is_invertible(self) -> bool:
-        return self.domain.is_unit(self.det())
-
     def inverse(self) -> "Mat3":
         dom = self.domain
         d = self.det()

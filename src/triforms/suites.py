@@ -17,7 +17,7 @@ from . import biquadratic, cubic, elimination, lattice
 from .domains import GF, QQ, ZZ, Domain, PrimeField
 from .errors import TriformsError
 from .matrices import Mat3, act_ternary
-from .poly import VARS_BIQUAD, VARS_XYZ, MultiPoly
+from .poly import VARS_BIQUAD, VARS_XYZ, MultiPoly, euler_contraction
 
 SUITE_NAMES = (
     "disc-covariance",
@@ -274,8 +274,6 @@ def suite_euler(cfg: SuiteConfig) -> dict:
     for trial in range(cfg.trials):
         n = 2 + rng.randrange(4)
         f = random_form(dom, rng, n, 9)
-        from .poly import euler_contraction
-
         ok = euler_contraction(f) == f.scale(dom.from_int(n))
         entry = {"trial": trial, "pass": ok, "degree": n}
         if not ok:

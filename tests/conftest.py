@@ -9,12 +9,7 @@ import pytest
 
 from triforms.domains import QQ, PrimeField
 from triforms.elimination import _monomials
-from triforms.finitefield import (
-    QuadExtension,
-    evaluate_terms_ext,
-    projective_points_ext,
-    projective_points_prime,
-)
+from triforms.finitefield import projective_points_prime
 from triforms.matrices import Mat3
 from triforms.poly import VARS_BIQUAD, VARS_XYZ, MultiPoly
 
@@ -84,29 +79,6 @@ def singular_points_fp(fbar: MultiPoly, p: int):
         if fbar.evaluate(pt) == 0 and all(g.evaluate(pt) == 0 for g in partials):
             out.append(pt)
     return out
-
-
-def singular_points_fp2(fbar: MultiPoly, p: int):
-    """Exhaustive singular points over F_{p^2} (pairs a + b t).
-
-    Zeros of the form are enumerated by the Horner scan; the partials are
-    evaluated only there.
-    """
-    from triforms.finitefield import ternary_zeros_ext
-
-    ext = QuadExtension(p)
-    zeros = ternary_zeros_ext(
-        list(fbar.terms.items()), fbar.homogeneous_degree(), ext
-    )
-    partial_terms = [
-        list(fbar.partial_derivative(v).terms.items()) for v in fbar.vars
-    ]
-    zero = ext.zero()
-    return [
-        pt
-        for pt in zeros
-        if all(evaluate_terms_ext(ts, pt, ext) == zero for ts in partial_terms)
-    ]
 
 
 @pytest.fixture

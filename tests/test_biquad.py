@@ -31,9 +31,15 @@ from triforms.errors import (
     DegeneratePointError,
     PrimeError,
     SingularMatrixError,
+    TriformsError,
     ZeroInputError,
 )
-from triforms.finitefield import projective_points_prime
+from triforms.finitefield import (
+    QuadExtension,
+    evaluate_terms_ext,
+    projective_points_ext,
+    projective_points_prime,
+)
 from triforms.fixtures import diagonal_22_cycle, diagonal_22_same, sigma_squared
 from triforms.matrices import Mat3
 from triforms.poly import VARS_BIQUAD, MultiPoly, parse_poly
@@ -425,7 +431,38 @@ def test_branch_locus_report_builds_grams_once_per_side(rng, monkeypatch, p):
             calls.clear()
             continue
         break
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_scans_build_one_gram_pair_and_no_public_covariant(rng, monkeypatch, p):
+    calls = []
+    original = biquadratic.gram_matrices
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    def forbidden(f):
+        raise AssertionError("scans derive the covariant from their Gram pair")
+
+    monkeypatch.setattr(biquadratic, "gram_matrices", counting)
+    monkeypatch.setattr(biquadratic, "sextic_covariant_x", forbidden)
+    monkeypatch.setattr(biquadratic, "sextic_covariant_z", forbidden)
+    scans = (branch_locus_report, lambda c: is_generic_mod_p(c, p), degenerate_points)
+    for trial in range(4):
+        density = 0.3 if trial % 2 else 1.0
+        terms = {m: rng.randrange(p) for m in _MONOMIALS_22 if rng.random() < density}
+        cls = canonicalize(MultiPoly(GF(p), VARS_BIQUAD, terms))
+        if cls.is_zero():
+            continue
+        for scan in scans:
+            calls.clear()
+            try:
+                scan(cls)
+            except TriformsError:
+                pass  # a refusal still builds the pair once
+            assert len(calls) == 1
 
 
 # -- genericity -------------------------------------------------------------------
@@ -461,3 +498,86 @@ def test_generic_class_passes_branch_check(rng):
 def test_degenerate_points_found_for_special_class():
     pts = degenerate_points(canonicalize(diagonal_22_same().reduce_mod_p(7)))
     assert pts["x"] and pts["z"]
+
+
+def _degenerate_points_brute_force(cls, p):
+    """Every point of P^2(F_{p^2}) whose fiber conic contains its whole line.
+
+    All nine Gram entries are evaluated; the line a.w = 0 is spanned by the
+    cross products of a with the unit vectors, and the conic contains it
+    exactly when its quadratic form vanishes on each of them and on their
+    pairwise sums (odd characteristic).
+    """
+    ext = QuadExtension(p)
+    zero = ext.zero()
+    grams = gram_matrices(cls)
+    out = {}
+    for side, block, gram in (("x", X_BLOCK, grams.in_z), ("z", Z_BLOCK, grams.in_x)):
+        entries = [[list(gram[i][j].restrict_to_vars(block).terms.items()) for j in range(3)]
+                   for i in range(3)]
+
+        def qform(m, w):
+            acc = zero
+            for i in range(3):
+                for j in range(3):
+                    acc = ext.add(acc, ext.mul(ext.mul(w[i], m[i][j]), w[j]))
+            return acc
+
+        found = []
+        for a in projective_points_ext(ext):
+            m = [[evaluate_terms_ext(entries[i][j], a, ext) for j in range(3)] for i in range(3)]
+            spans = []
+            for k in range(3):
+                e = [zero] * 3
+                e[k] = ext.one()
+                # a x e_k, orthogonal to a under the plain dot product
+                spans.append([
+                    ext.add(ext.mul(a[1], e[2]), ext.neg(ext.mul(a[2], e[1]))),
+                    ext.add(ext.mul(a[2], e[0]), ext.neg(ext.mul(a[0], e[2]))),
+                    ext.add(ext.mul(a[0], e[1]), ext.neg(ext.mul(a[1], e[0]))),
+                ])
+            sums = [[ext.add(u[i], v[i]) for i in range(3)] for u in spans for v in spans]
+            if all(qform(m, w) == zero for w in spans + sums):
+                found.append(a)
+        out[side] = found
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_degenerate_points_match_brute_force(rng, p):
+    nonempty = checked = 0
+    candidate = canonicalize(diagonal_22_same().reduce_mod_p(p))
+    while checked < 5:
+        cls, candidate = candidate, None
+        if cls is None:
+            terms = {m: rng.randrange(p) for m in _MONOMIALS_22 if rng.random() < 0.3}
+            cls = canonicalize(MultiPoly(GF(p), VARS_BIQUAD, terms))
+        if covariant_x_ternary(cls).is_zero() or covariant_z_ternary(cls).is_zero():
+            continue
+        checked += 1
+        pts = degenerate_points(cls)
+        assert pts == _degenerate_points_brute_force(cls, p)
+        nonempty += bool(pts["x"] or pts["z"])
+    assert nonempty >= 1
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_scan_sides_match_public_covariants_and_evaluation(rng, p):
+    for _ in range(3):
+        cls = canonicalize(rand_form22(GF(p), rng, 10))
+        sides = biquadratic._scan_sides(cls)
+        assert [side for side, _, _ in sides] == ["x", "z"]
+        assert sides[0][2] == covariant_x_ternary(cls)
+        assert sides[1][2] == covariant_z_ternary(cls)
+        grams = gram_matrices(cls)
+        for (side, gram_terms, sextic), gram, block in zip(
+            sides, (grams.in_z, grams.in_x), (X_BLOCK, Z_BLOCK)
+        ):
+            sextic_terms = list(sextic.terms.items())
+            for point in projective_points_prime(5):
+                assert biquadratic._eval_fp(sextic_terms, point, p) == sextic.evaluate(point)
+                for i in range(3):
+                    for j in range(3):
+                        entry = gram[i][j].restrict_to_vars(block)
+                        value = biquadratic._eval_fp(gram_terms[i][j], point, p)
+                        assert value == entry.evaluate(point)

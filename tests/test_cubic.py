@@ -1,6 +1,8 @@
 """Cubic invariants, the kappa relation, and weighted tuple logic."""
 
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,12 +14,19 @@ from triforms.cubic import (
     delta_from_invariants,
     scale_tuple,
     tuple_is_primitive_outside,
+    _integralize,
     tuple_of_cubic,
     tuples_equivalent,
 )
 from triforms.domains import GF, QQ, ZZ
 from triforms.elimination import resultant_of_partials
-from triforms.errors import DegreeError, VariableSetError, ZeroInputError
+from triforms.errors import (
+    BudgetExceededError,
+    DegreeError,
+    VariableSetError,
+    ZeroInputError,
+)
+from triforms.intutil import is_prime
 from triforms.fixtures import fermat, weierstrass_cubic
 from triforms.matrices import Mat3, act_ternary
 from triforms.poly import MultiPoly, VARS_XYZ
@@ -202,6 +211,60 @@ def test_primitive_outside_clears_denominators():
     assert tuple_is_primitive_outside(t, set()) == tuple_is_primitive_outside(
         scale_tuple(2, t), set()
     )
+
+
+def _integralize_by_full_trial_division(t: InvariantTuple):
+    """Denominators cleared by trial division up to their square root."""
+    lam = 1
+    for v, w in zip(t.values, t.weights):
+        k, d, q = 1, v.denominator, 2
+        while q * q <= d:
+            e = 0
+            while d % q == 0:
+                d //= q
+                e += 1
+            k *= q ** -(-e // w)
+            q += 1
+        k *= d
+        lam = lam * k // gcd(lam, k)
+    return tuple((Fraction(lam) ** w * v).numerator for v, w in zip(t.values, t.weights))
+
+
+def test_integralize_matches_full_trial_division(rng):
+    dens = [rng.randrange(1, 10**6) for _ in range(40)]
+    dens += [1000003 * rng.randrange(1, 1000), 999983**2, 2**39, 3**25, 1000003 * 1013]
+    for d in dens:
+        t = InvariantTuple((Fraction(rng.randint(1, 50), d), Fraction(1, d * 7)), (4, 6))
+        assert _integralize(t) == _integralize_by_full_trial_division(t)
+
+
+def _timed_primitivity(den, s_primes):
+    start = time.perf_counter()
+    try:
+        return tuple_is_primitive_outside(InvariantTuple((Fraction(1, den), 1), (4, 6)), s_primes)
+    finally:
+        assert time.perf_counter() - start < 1.0
+
+
+def test_integralize_large_prime_denominator():
+    den = next(n for n in range(10**24 + 1, 10**24 + 10**4, 2) if is_prime(n))
+    assert len(str(den)) == 25
+    # clearing 1/den by lam = den leaves (den^3, den^6)
+    assert _timed_primitivity(den, {den}) is True
+    assert _timed_primitivity(den, set()) is False
+
+
+def test_integralize_smooth_denominator():
+    assert _timed_primitivity(2**100 * 3, {2, 3}) is True
+    assert _timed_primitivity(2**100 * 3, {2}) is False
+
+
+def test_integralize_refuses_beyond_budget():
+    p1, p2 = 1000003, 1000033
+    assert is_prime(p1) and is_prime(p2)
+    with pytest.raises(BudgetExceededError) as info:
+        _timed_primitivity(p1 * p2, set())
+    assert info.value.kind == "budget"
 
 
 def test_zero_tuple_rejected():

@@ -18,6 +18,7 @@ from triforms.elimination import (
     macaulay_resultant,
     normalization_constant,
     resultant_of_partials,
+    singular_points_fp2,
 )
 from triforms.errors import (
     ConstantSupportError,
@@ -29,12 +30,7 @@ from triforms.fixtures import coordinate_triangle, fermat
 from triforms.matrices import Mat3, act_ternary
 from triforms.poly import MultiPoly, VARS_XYZ, parse_poly
 
-from conftest import (
-    rand_form,
-    rand_invertible,
-    singular_points_fp,
-    singular_points_fp2,
-)
+from conftest import rand_form, rand_invertible, singular_points_fp
 
 
 def test_bareiss_matches_cofactor_expansion(rng):
