@@ -329,13 +329,9 @@ def gram_in_block(f: MultiPoly, block) -> tuple:
     """
     dom = f.domain
     idx = [f.vars.index(b) for b in block]
-    zero = MultiPoly.zero(dom, f.vars)
-    entries = [[zero for _ in range(3)] for _ in range(3)]
-
-    def add_term(i, j, exps, coeff):
-        mono = MultiPoly(dom, f.vars, {tuple(exps): coeff})
-        entries[i][j] = entries[i][j] + mono
-
+    # each term of f lands in one entry (two mirrored ones off the diagonal)
+    # under its own remaining exponents, so no entry ever sums two terms
+    entries = [[{} for _ in range(3)] for _ in range(3)]
     for exps, coeff in f.terms.items():
         block_exps = [exps[k] for k in idx]
         if sum(block_exps) != 2:
@@ -343,14 +339,13 @@ def gram_in_block(f: MultiPoly, block) -> tuple:
         rest = list(exps)
         for k in idx:
             rest[k] = 0
+        rest = tuple(rest)
         hot = [i for i, e in enumerate(block_exps) if e]
         if len(hot) == 1:
-            add_term(hot[0], hot[0], rest, coeff)
+            entries[hot[0]][hot[0]][rest] = coeff
         else:
-            half = dom.halve(coeff)
-            add_term(hot[0], hot[1], rest, half)
-            add_term(hot[1], hot[0], rest, half)
-    return tuple(tuple(row) for row in entries)
+            entries[hot[0]][hot[1]][rest] = entries[hot[1]][hot[0]][rest] = dom.halve(coeff)
+    return tuple(tuple(MultiPoly(dom, f.vars, terms) for terms in row) for row in entries)
 
 
 def poly_matrix_adjugate(m) -> tuple:
@@ -677,6 +672,13 @@ def is_generic_mod_p(f, p: int) -> bool:
     plane curves over F_p-bar, and (ii) neither projection has a degenerate
     fiber point over P^2(F_p) or P^2(F_{p^2}).  Rejection is sound; the
     F_{p^2} bound on the degeneracy search is the documented approximation.
+
+    At p = 3 most classes, integer ones included, are refused with
+    ConstantSupportError by design: the raw discriminant of a degree-6
+    ternary form vanishes identically mod 3, so the smoothness test of the
+    reduced sextic has no certificate, and degree 6 lies above
+    NORMALIZATION_MAX_DEGREE, so no exact integer fallback applies either.
+    The refusal replaces a verdict that could be wrong.
     """
     if p == 2:
         raise PrimeError("genericity test needs odd characteristic")

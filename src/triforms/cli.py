@@ -15,10 +15,32 @@ from pathlib import Path
 
 from . import biquadratic, cubic, elimination, lattice
 from .domains import GF, QQ, ZZ
-from .errors import ParseError, TriformsError
+from .errors import BudgetExceededError, ParseError, TriformsError
 from .matrices import Mat3, act_ternary, mat3_from_json
 from .poly import MultiPoly, parse_poly, poly_from_json
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
+
+
+# Work bounds of the scanning commands.  Each was sized from its measured
+# unit cost on a 2-core x86-64 box running CPython 3.11 (~28 us per
+# branch-check point of P^2(F_p), ~1.6 us per generic point of P^2(F_{p^2}),
+# ~18 us per lattice-enum grid cell) so that an accepted input finishes in
+# about 10 s: p <= 353 for branch-check, p <= 37 for generic, box <= 81.
+BRANCH_CHECK_MAX_POINTS = 250_000
+GENERIC_MAX_POINTS = 4_000_000
+LATTICE_BOX_MAX_CELLS = 430_000
+
+
+def _plane_points(q: int) -> int:
+    """Points a two-sided scan of P^2(F_q) visits: one pass per projection."""
+    return 2 * (q * q + q + 1)
+
+
+def _require_budget(command: str, cost: int, bound: int, unit: str) -> None:
+    if cost > bound:
+        raise BudgetExceededError(
+            f"{command} would scan {cost} {unit}, over its bound of {bound}"
+        )
 
 
 def _emit(data) -> None:
@@ -155,6 +177,7 @@ def _cmd_covariants(args) -> int:
 
 
 def _cmd_branch_check(args) -> int:
+    _require_budget("branch-check", _plane_points(args.mod), BRANCH_CHECK_MAX_POINTS, "points")
     f = _read_form(args.form, args.mod)
     report = biquadratic.branch_locus_report(biquadratic.canonicalize(f))
     _emit(report.to_json_dict())
@@ -162,6 +185,7 @@ def _cmd_branch_check(args) -> int:
 
 
 def _cmd_generic(args) -> int:
+    _require_budget("generic", _plane_points(args.mod**2), GENERIC_MAX_POINTS, "points")
     f = _read_form(args.form)
     generic = biquadratic.is_generic_mod_p(biquadratic.canonicalize(f), args.mod)
     _emit({"prime": args.mod, "generic": generic})
@@ -169,6 +193,9 @@ def _cmd_generic(args) -> int:
 
 
 def _cmd_lattice_enum(args) -> int:
+    if args.box:
+        cells = (8 * args.box + 1) ** 2  # pairs of quarter-integers in the box
+        _require_budget("lattice-enum", cells, LATTICE_BOX_MAX_CELLS, "grid cells")
     candidates = lattice.enumerate_isometry_candidates()
     out = {
         "count": len(candidates),

@@ -50,7 +50,7 @@ class Domain:
         return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        raise NotImplementedError
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -114,6 +114,9 @@ class IntegerDomain(Domain):
     def mul(self, a, b):
         return a * b
 
+    def is_zero(self, a) -> bool:
+        return a == 0
+
     def is_unit(self, a):
         return a in (1, -1)
 
@@ -170,6 +173,9 @@ class RationalDomain(Domain):
 
     def mul(self, a, b):
         return a * b
+
+    def is_zero(self, a) -> bool:
+        return not a
 
     def is_unit(self, a):
         return a != 0
@@ -232,6 +238,9 @@ class PrimeField(Domain):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def is_zero(self, a) -> bool:
+        return a == 0
 
     def is_unit(self, a):
         return a % self.p != 0

@@ -16,6 +16,18 @@ Text syntax (round-trips through ``parse_poly``/``str``):
 JSON form:
 
     {"vars": ["x", "y", "z"], "terms": [{"e": [2, 0, 0], "c": "3"}]}
+
+Validation happens once, at the boundary: the public constructor (and the
+``zero``/``constant``/``variable``/``monomial`` class methods), ``parse_poly``
+and ``poly_from_json`` check arity, distinct variables, exponent sign and
+``MAX_EXPONENT``, and put every coefficient in its domain's canonical form,
+dropping zeros.  Closed operations (``+``, ``-``, ``*``, ``**``, ``scale``,
+``partial_derivative``, ``restrict_to_vars``, ``substitute_linear`` and the
+exact domain moves ``content_and_primitive``/``to_rationals``/``to_integers``)
+produce canonical, zero-free term maps by construction and build their
+results with the private ``MultiPoly._trusted``, which does no checks.  A
+product whose exponents could pass ``MAX_EXPONENT`` is still built by the
+validating constructor, so exponent overflow is always reported.
 """
 
 from __future__ import annotations
@@ -23,7 +35,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from operator import add
 
 from .domains import GF, QQ, ZZ, Domain, PrimeField
 from .errors import (
@@ -44,6 +58,10 @@ VARS_BIQUAD = ("x1", "x2", "x3", "z1", "z2", "z3")
 
 def _monomial_key(exponents):
     return (-sum(exponents),) + tuple(-e for e in exponents)
+
+
+def _max_exponent(terms) -> int:
+    return max(chain.from_iterable(terms), default=0)
 
 
 class MultiPoly:
@@ -72,6 +90,20 @@ class MultiPoly:
             if not domain.is_zero(c):
                 canon[exps] = c
         object.__setattr__(self, "terms", canon)
+
+    @classmethod
+    def _trusted(cls, domain: Domain, variables: tuple, terms: dict) -> "MultiPoly":
+        """Wrap a term map that is already canonical: no checks, no copy.
+
+        ``variables`` must be a tuple of distinct names and ``terms`` a map
+        from in-range exponent tuples of that length to canonical nonzero
+        coefficients of ``domain``; only closed operations call this.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "domain", domain)
+        object.__setattr__(poly, "vars", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -173,11 +205,11 @@ class MultiPoly:
                     del terms[exps]
                 else:
                     terms[exps] = s
-        return MultiPoly(dom, self.vars, terms)
+        return MultiPoly._trusted(dom, self.vars, terms)
 
     def __neg__(self):
         dom = self.domain
-        return MultiPoly(dom, self.vars, {e: dom.neg(c) for e, c in self.terms.items()})
+        return MultiPoly._trusted(dom, self.vars, {e: dom.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -186,11 +218,11 @@ class MultiPoly:
         self._check_compatible(other)
         dom = self.domain
         if not self.terms or not other.terms:
-            return MultiPoly.zero(dom, self.vars)
+            return MultiPoly._trusted(dom, self.vars, {})
         result: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 prod = dom.mul(c1, c2)
                 cur = result.get(exps)
                 if cur is None:
@@ -201,19 +233,25 @@ class MultiPoly:
                         del result[exps]
                     else:
                         result[exps] = s
-        return MultiPoly(dom, self.vars, result)
+        # products of nonzero coefficients are nonzero (every domain is an
+        # integral domain); only the exponent bound can still fail
+        if _max_exponent(self.terms) + _max_exponent(other.terms) > MAX_EXPONENT:
+            return MultiPoly(dom, self.vars, result)
+        return MultiPoly._trusted(dom, self.vars, result)
 
     def scale(self, scalar):
         dom = self.domain
         c = dom.canon(scalar)
         if dom.is_zero(c):
-            return MultiPoly.zero(dom, self.vars)
-        return MultiPoly(dom, self.vars, {e: dom.mul(v, c) for e, v in self.terms.items()})
+            return MultiPoly._trusted(dom, self.vars, {})
+        terms = {e: dom.mul(v, c) for e, v in self.terms.items()}
+        return MultiPoly._trusted(dom, self.vars, terms)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.domain, self.vars, self.domain.one())
+        one = {(0,) * len(self.vars): self.domain.one()}
+        result = MultiPoly._trusted(self.domain, self.vars, one)
         base = self
         e = exponent
         while e:
@@ -240,20 +278,16 @@ class MultiPoly:
     def partial_derivative(self, name: str) -> "MultiPoly":
         idx = self._var_index(name)
         dom = self.domain
+        # lowering one exponent is injective, so no two terms merge
         terms: dict[tuple[int, ...], object] = {}
         for exps, coeff in self.terms.items():
             k = exps[idx]
             if k == 0:
                 continue
-            new = list(exps)
-            new[idx] = k - 1
-            new = tuple(new)
             c = dom.mul(coeff, dom.from_int(k))
-            if dom.is_zero(c):
-                continue
-            cur = terms.get(new)
-            terms[new] = c if cur is None else dom.add(cur, c)
-        return MultiPoly(dom, self.vars, terms)
+            if not dom.is_zero(c):
+                terms[exps[:idx] + (k - 1,) + exps[idx + 1:]] = c
+        return MultiPoly._trusted(dom, self.vars, terms)
 
     def substitute_linear(self, matrix) -> "MultiPoly":
         """f((v_1, ..., v_k) . M): variable j becomes sum_i M[i][j] v_i."""
@@ -264,6 +298,7 @@ class MultiPoly:
             raise VariableSetError(
                 f"substitution matrix must be {k}x{k} for variables {self.vars}"
             )
+        constant = (0,) * k
         images = []
         for j in range(k):
             img_terms: dict[tuple[int, ...], object] = {}
@@ -274,11 +309,8 @@ class MultiPoly:
                 exps = [0] * k
                 exps[i] = 1
                 img_terms[tuple(exps)] = c
-            images.append(MultiPoly(dom, self.vars, img_terms))
-        power_cache: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.constant(dom, self.vars, dom.one()), 1: images[j]}
-            for j in range(k)
-        ]
+            images.append(MultiPoly._trusted(dom, self.vars, img_terms))
+        power_cache: list[dict[int, MultiPoly]] = [{1: images[j]} for j in range(k)]
 
         def power(j, e):
             cache = power_cache[j]
@@ -286,9 +318,9 @@ class MultiPoly:
                 cache[e] = cache[e - 1] * images[j] if e - 1 in cache else images[j] ** e
             return cache[e]
 
-        result = MultiPoly.zero(dom, self.vars)
+        result = MultiPoly._trusted(dom, self.vars, {})
         for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(dom, self.vars, coeff)
+            term = MultiPoly._trusted(dom, self.vars, {constant: coeff})
             for j, e in enumerate(exps):
                 if e:
                     term = term * power(j, e)
@@ -316,6 +348,8 @@ class MultiPoly:
     def restrict_to_vars(self, variables):
         """Project onto a sub-variable set; other exponents must be zero."""
         variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise VariableSetError(f"duplicate variable in {variables}")
         idx = [self._var_index(v) for v in variables]
         other = [i for i in range(len(self.vars)) if i not in idx]
         terms = {}
@@ -325,7 +359,7 @@ class MultiPoly:
                     f"term {exps} uses variables outside {variables}"
                 )
             terms[tuple(exps[i] for i in idx)] = coeff
-        return MultiPoly(self.domain, variables, terms)
+        return MultiPoly._trusted(self.domain, variables, terms)
 
     # -- domain movement ------------------------------------------------
 
@@ -340,7 +374,7 @@ class MultiPoly:
             g = gcd(g, c)
         if self.leading_coefficient() < 0:
             g = -g
-        return g, MultiPoly(ZZ, self.vars, {e: c // g for e, c in self.terms.items()})
+        return g, MultiPoly._trusted(ZZ, self.vars, {e: c // g for e, c in self.terms.items()})
 
     def reduce_mod_p(self, p: int) -> "MultiPoly":
         if self.domain != ZZ:
@@ -353,7 +387,7 @@ class MultiPoly:
             return self
         if self.domain != ZZ:
             raise DomainMismatchError("only integer polynomials lift to QQ")
-        return MultiPoly(QQ, self.vars, {e: Fraction(c) for e, c in self.terms.items()})
+        return MultiPoly._trusted(QQ, self.vars, {e: Fraction(c) for e, c in self.terms.items()})
 
     def to_integers(self) -> "MultiPoly":
         """Exact move QQ -> ZZ; error if any coefficient has a denominator."""
@@ -366,7 +400,7 @@ class MultiPoly:
             if c.denominator != 1:
                 raise DomainMismatchError(f"coefficient {c} is not an integer")
             terms[e] = c.numerator
-        return MultiPoly(ZZ, self.vars, terms)
+        return MultiPoly._trusted(ZZ, self.vars, terms)
 
     def map_domain(self, domain: Domain) -> "MultiPoly":
         if domain == self.domain:

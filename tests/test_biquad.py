@@ -27,6 +27,7 @@ from triforms.biquadratic import (
 )
 from triforms.domains import GF, QQ, ZZ
 from triforms.errors import (
+    ConstantSupportError,
     DegreeError,
     DegeneratePointError,
     PrimeError,
@@ -581,3 +582,18 @@ def test_scan_sides_match_public_covariants_and_evaluation(rng, p):
                         entry = gram[i][j].restrict_to_vars(block)
                         value = biquadratic._eval_fp(gram_terms[i][j], point, p)
                         assert value == entry.evaluate(point)
+
+
+def test_generic_at_3_answers_or_refuses_constant_support(rng):
+    # the raw discriminant of a sextic vanishes identically mod 3, so most
+    # classes are refused there; any other error would be a defect
+    refused = 0
+    for dom in (GF(3), ZZ):
+        for _ in range(8):
+            cls = canonicalize(rand_form22(dom, rng, 5))
+            try:
+                assert is_generic_mod_p(cls, 3) in (True, False)
+            except ConstantSupportError as exc:
+                assert exc.kind == "constant-support"
+                refused += 1
+    assert refused

@@ -3,7 +3,10 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -124,6 +127,33 @@ def test_branch_check_degenerate_class_errors():
     assert proc.returncode == 1
     data = json.loads(proc.stdout)
     assert data["error"]["kind"] == "degenerate-point"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("branch-check", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "100003"),
+        ("generic", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "100003"),
+        ("generic", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "41"),
+        ("lattice-enum", "--box", "400"),
+    ],
+    ids=["branch-check", "generic", "generic-41", "lattice-enum"],
+)
+def test_unbounded_scans_refused_with_budget_error(args):
+    start = time.perf_counter()
+    proc = run_cli(*args)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "budget"
+
+
+def test_scans_within_budget_still_answer():
+    proc = run_cli("branch-check", "--form", str(FIXTURES / "diag22_cycle.txt"), "--mod", "11")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["points_checked"] == 2 * (11 * 11 + 11 + 1)
+    proc = run_cli("lattice-enum", "--box", "20")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["box"]["agrees_with_enumeration"]
 
 
 def test_lattice_enum_subcommand():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triforms.domains import GF, QQ, ZZ
+from triforms.domains import GF, QQ, ZZ, PrimeField
 from triforms.errors import (
     DomainMismatchError,
+    ExponentOverflowError,
     ParseError,
     VariableSetError,
     ZeroInputError,
@@ -243,10 +244,73 @@ def test_graded_lex_printing_deterministic():
 
 
 def test_exponent_overflow_is_hard_error():
-    from triforms.errors import ExponentOverflowError
     from triforms.poly import MAX_EXPONENT
 
     with pytest.raises(ExponentOverflowError):
         MultiPoly(ZZ, VARS_XYZ, {(MAX_EXPONENT + 1, 0, 0): 1})
     with pytest.raises(ExponentOverflowError):
         MultiPoly(ZZ, VARS_XYZ, {(-1, 0, 0): 1})
+
+
+# -- closed operations stay canonical ----------------------------------------------
+# Closed operations skip the constructor's checks; these tests pin the
+# contract that makes that safe.
+
+CLOSED_DOMAINS = (ZZ, QQ, GF(2), GF(3), GF(101))
+
+
+@st.composite
+def small_polys(draw, dom):
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exps, st.integers(-20, 20), max_size=6))
+    if dom == QQ:
+        terms = {e: Fraction(c, draw(st.integers(1, 3))) for e, c in terms.items()}
+    return MultiPoly(dom, VARS_XYZ, terms)
+
+
+def assert_canonical(r):
+    dom = r.domain
+    assert r == MultiPoly(dom, r.vars, r.terms)
+    for e, c in r.terms.items():
+        assert type(e) is tuple and len(e) == len(r.vars)
+        assert c != 0
+        assert type(c) is (Fraction if dom == QQ else int)
+        if isinstance(dom, PrimeField):
+            assert 0 <= c < dom.p
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_closed_operations_give_canonical_results(data):
+    dom = data.draw(st.sampled_from(CLOSED_DOMAINS), label="domain")
+    f, g = data.draw(small_polys(dom)), data.draw(small_polys(dom))
+    scalar = data.draw(st.integers(-5, 5))
+    power = data.draw(st.integers(0, 3))
+    row = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+    matrix = data.draw(st.lists(row, min_size=3, max_size=3))
+    zero = MultiPoly.zero(dom, VARS_XYZ)
+    flat = MultiPoly(dom, VARS_XYZ, {e: c for e, c in f.terms.items() if e[2] == 0})
+    results = [
+        f + g, f - g, f * g, -f, f.scale(scalar), f**power,
+        f - f, f + (-f), f * zero, zero * f, f.scale(0),
+        *(f.partial_derivative(v) for v in VARS_XYZ),
+        f.substitute_linear(matrix),
+        flat.restrict_to_vars(("x", "y")), flat.restrict_to_vars(("y", "x")),
+    ]
+    if dom == ZZ:
+        results += [f.to_rationals(), f.to_rationals().to_integers()]
+        if f:
+            results.append(f.content_and_primitive()[1])
+    for r in results:
+        assert_canonical(r)
+    assert (f - f).is_zero() and (f * zero).is_zero() and f.scale(0).is_zero()
+
+
+def test_closed_operations_keep_the_constructor_errors():
+    big = MultiPoly(ZZ, VARS_XYZ, {(600000, 0, 0): 1})
+    with pytest.raises(ExponentOverflowError):
+        big * big
+    with pytest.raises(ExponentOverflowError):
+        big**2
+    with pytest.raises(VariableSetError):
+        big.restrict_to_vars(("x", "x"))
