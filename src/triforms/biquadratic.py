@@ -52,7 +52,7 @@ from .finitefield import (
     projective_points_prime,
     ternary_zeros_ext,
 )
-from .matrices import Mat3, block_substitution
+from .matrices import Mat3, adjugate3, block_substitution
 from .poly import VARS_BIQUAD, MultiPoly, _monomial_key
 
 X_BLOCK = ("x1", "x2", "x3")
@@ -348,25 +348,6 @@ def gram_in_block(f: MultiPoly, block) -> tuple:
     return tuple(tuple(MultiPoly(dom, f.vars, terms) for terms in row) for row in entries)
 
 
-def poly_matrix_adjugate(m) -> tuple:
-    """Adjugate of a 3x3 matrix of polynomials."""
-
-    def minor2(p, q, r, s):
-        return p * s - q * r
-
-    return (
-        (minor2(m[1][1], m[1][2], m[2][1], m[2][2]),
-         -minor2(m[0][1], m[0][2], m[2][1], m[2][2]),
-         minor2(m[0][1], m[0][2], m[1][1], m[1][2])),
-        (-minor2(m[1][0], m[1][2], m[2][0], m[2][2]),
-         minor2(m[0][0], m[0][2], m[2][0], m[2][2]),
-         -minor2(m[0][0], m[0][2], m[1][0], m[1][2])),
-        (minor2(m[1][0], m[1][1], m[2][0], m[2][1]),
-         -minor2(m[0][0], m[0][1], m[2][0], m[2][1]),
-         minor2(m[0][0], m[0][1], m[1][0], m[1][1])),
-    )
-
-
 def contract_with_block(m, f_vars, block, domain) -> MultiPoly:
     """(b) m (b)^t for the block variables."""
     total = MultiPoly.zero(domain, f_vars)
@@ -396,7 +377,7 @@ def gram_matrices(f) -> GramPair:
 def _adjugate_contraction(gram, block) -> MultiPoly:
     """(b) Adj(gram) (b)^t for the block variables: one side's sextic covariant."""
     entry = gram[0][0]
-    return contract_with_block(poly_matrix_adjugate(gram), entry.vars, block, entry.domain)
+    return contract_with_block(adjugate3(gram), entry.vars, block, entry.domain)
 
 
 def _covariant(f, own_block, other_block) -> MultiPoly:
@@ -657,12 +638,16 @@ def degenerate_points(f, p: int | None = None):
 
 
 def _reduced(f, p: int):
+    """The class over GF(p): an integer class is reduced, a GF(p) one kept."""
     cls = f if isinstance(f, Class22) else canonicalize(f)
-    if isinstance(cls.domain, PrimeField):
-        return cls
-    if cls.domain == ZZ:
+    dom = cls.domain
+    if dom == ZZ:
         return cls.reduce_mod_p(p)
-    raise DomainMismatchError("expected an integer or prime-field class")
+    if not isinstance(dom, PrimeField):
+        raise DomainMismatchError("expected an integer or prime-field class")
+    if dom.p != p:
+        raise DomainMismatchError(f"a class over GF({dom.p}) has no reduction mod {p}")
+    return cls
 
 
 def is_generic_mod_p(f, p: int) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import biquadratic, cubic, elimination, lattice
-from .domains import GF, QQ, ZZ
+from .domains import GF
 from .errors import BudgetExceededError, ParseError, TriformsError
 from .matrices import Mat3, act_ternary, mat3_from_json
 from .poly import MultiPoly, parse_poly, poly_from_json
@@ -54,12 +54,7 @@ def _read_form(path: str, mod: int | None = None) -> MultiPoly:
         f = poly_from_json(text)
     else:
         f = parse_poly(text)
-    if mod is not None:
-        if f.domain == QQ:
-            f = f.map_domain(GF(mod))
-        elif f.domain == ZZ:
-            f = f.reduce_mod_p(mod)
-    return f
+    return f if mod is None else f.map_domain(GF(mod))
 
 
 def _read_matrix(path: str, domain) -> Mat3:
@@ -193,7 +188,7 @@ def _cmd_generic(args) -> int:
 
 
 def _cmd_lattice_enum(args) -> int:
-    if args.box:
+    if args.box is not None:
         cells = (8 * args.box + 1) ** 2  # pairs of quarter-integers in the box
         _require_budget("lattice-enum", cells, LATTICE_BOX_MAX_CELLS, "grid cells")
     candidates = lattice.enumerate_isometry_candidates()
@@ -201,34 +196,36 @@ def _cmd_lattice_enum(args) -> int:
         "count": len(candidates),
         "candidates": [c.to_json_dict() for c in candidates],
     }
-    if args.box:
-        box = lattice.brute_force_box(args.box)
-        in_box = {
-            c.entries
-            for c in candidates
-            if all(abs(v) <= args.box for row in c.entries for v in row)
-        }
-        out["box"] = {
-            "bound": args.box,
-            "count": len(box),
-            "agrees_with_enumeration": {c.entries for c in box} == in_box,
-        }
+    if args.box is not None:
+        out["box"] = lattice.box_cross_check(args.box, candidates)
     _emit(out)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    primes = tuple(int(p) for p in args.primes.split(",") if p.strip())
+    if args.suite == "branch-locus":
+        # each trial runs the genericity scan of the generic command
+        for p in primes:
+            _require_budget("verify", _plane_points(p**2), GENERIC_MAX_POINTS, "points")
     cfg = SuiteConfig(
         suite=args.suite,
         seed=args.seed,
         trials=args.trials,
         domain=args.domain,
-        primes=tuple(int(p) for p in args.primes.split(",") if p.strip()),
+        primes=primes,
         degree=args.degree,
     )
     report = run_suite(cfg)
     _emit(report)
     return 0 if report["all_pass"] else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generic)
 
     p = sub.add_parser("lattice-enum", help="isometry candidates of the rank-2 pairing")
-    p.add_argument("--box", type=int, default=None, help="brute-force cross-check bound")
+    p.add_argument("--box", type=_positive_int, default=None, help="brute-force cross-check bound")
     p.set_defaults(func=_cmd_lattice_enum)
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--domain", default="QQ")
     p.add_argument("--primes", default="11")
     p.add_argument("--degree", type=int, default=3)

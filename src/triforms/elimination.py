@@ -199,53 +199,39 @@ def _unimodular(attempt: int) -> list[list[int]]:
     ]
 
 
-def _quotient_int(plan, forms) -> int | None:
-    """det(M)/det(M') over ZZ, or None when det(M') = 0."""
+def _quotient(plan, forms, p: int | None) -> int | None:
+    """det(M)/det(M') over ZZ (p None) or GF(p), or None when det(M') = 0."""
+
+    def det(rows):
+        return det_bareiss(rows) if p is None else det_mod_p(rows, p)
+
+    dprime = 1
     if plan.nonreduced:
-        dprime = det_bareiss(_coeff_rows(plan, forms, plan.nonreduced, plan.nonreduced))
+        dprime = det(_coeff_rows(plan, forms, plan.nonreduced, plan.nonreduced))
         if dprime == 0:
             return None
-    else:
-        dprime = 1
-    dfull = det_bareiss(_coeff_rows(plan, forms))
+    dfull = det(_coeff_rows(plan, forms))
+    if p is not None:
+        return dfull * pow(dprime, p - 2, p) % p
     quotient, remainder = divmod(dfull, dprime)
     if remainder:
         raise ArithmeticError("Macaulay quotient failed to divide exactly")
     return quotient
 
 
-def _quotient_mod_p(plan, forms, p: int) -> int | None:
-    if plan.nonreduced:
-        dprime = det_mod_p(
-            _coeff_rows(plan, forms, plan.nonreduced, plan.nonreduced), p
-        )
-        if dprime == 0:
-            return None
-    else:
-        dprime = 1
-    dfull = det_mod_p(_coeff_rows(plan, forms), p)
-    return dfull * pow(dprime, p - 2, p) % p
+def _sheared(forms):
+    """The forms themselves, then their images under each fixed unimodular change."""
+    yield forms
+    for attempt in range(len(_SHEAR_TABLE)):
+        change = _unimodular(attempt)
+        yield tuple(g.substitute_linear(change) for g in forms)
 
 
 def _resultant_exact(forms, p: int | None):
-    """Shared integer/mod-p core with the unimodular degenerate path."""
-    d = forms[0].homogeneous_degree()
-    plan = _plan(d)
-    quotient = (
-        _quotient_mod_p(plan, forms, p) if p is not None else _quotient_int(plan, forms)
-    )
-    if quotient is not None:
-        return quotient
-    for attempt in range(len(_SHEAR_TABLE)):
-        change = _unimodular(attempt)
-        if p is not None:
-            change = [[v % p for v in row] for row in change]
-        moved = tuple(g.substitute_linear(change) for g in forms)
-        quotient = (
-            _quotient_mod_p(plan, moved, p)
-            if p is not None
-            else _quotient_int(plan, moved)
-        )
+    """The Macaulay quotient over ZZ (p None) or GF(p), with the degenerate path."""
+    plan = _plan(forms[0].homogeneous_degree())
+    for moved in _sheared(forms):
+        quotient = _quotient(plan, moved, p)
         if quotient is not None:
             return quotient
     raise MacaulayDegenerateError(
@@ -350,9 +336,6 @@ _BUILTIN_CONSTANTS: dict[int, dict] = {
         "method": "gcd of raw resultant-of-partials values"},
 }
 
-_CONSTANT_CACHE: dict[int, tuple[int, dict]] = {}
-
-
 def derive_normalization_constant(
     n: int, samples: int = 64, seed: int = NORMALIZATION_SEED, coeff_bound: int = 6
 ) -> tuple[int, dict]:
@@ -389,22 +372,16 @@ def derive_normalization_constant(
 
 
 def normalization_constant(n: int) -> tuple[int, dict]:
-    """The cached content constant for degree n (derived on first use)."""
-    if n in _CONSTANT_CACHE:
-        return _CONSTANT_CACHE[n]
-    if n in _BUILTIN_CONSTANTS:
-        entry = _BUILTIN_CONSTANTS[n]
-        result = (entry["value"], dict(entry))
-    elif n <= NORMALIZATION_MAX_DEGREE:
-        value, meta = derive_normalization_constant(n)
-        result = (value, meta)
-    else:
+    """The built-in content constant for degree n, with its derivation record."""
+    if n < 2:
+        raise DegreeError("discriminant constants start at degree 2")
+    if n not in _BUILTIN_CONSTANTS:
         raise ConstantSupportError(
             f"no cached normalization constant for degree {n}; "
             "raw (unnormalized) discriminants remain available"
         )
-    _CONSTANT_CACHE[n] = result
-    return result
+    entry = _BUILTIN_CONSTANTS[n]
+    return entry["value"], dict(entry)
 
 
 @dataclass(frozen=True)

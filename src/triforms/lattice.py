@@ -195,6 +195,19 @@ def brute_force_box(bound: int = 20) -> tuple[IsometryCandidate, ...]:
     return tuple(out[k] for k in sorted(out))
 
 
+def box_cross_check(bound: int, candidates) -> dict:
+    """Compare the candidates inside the box [-bound, bound] with a brute-force scan."""
+    box = brute_force_box(bound)
+    in_box = {
+        c.entries for c in candidates if all(abs(v) <= bound for row in c.entries for v in row)
+    }
+    return {
+        "bound": bound,
+        "count": len(box),
+        "agrees_with_enumeration": {c.entries for c in box} == in_box,
+    }
+
+
 def inverse_closure_report(candidates=None) -> dict:
     """Check closure under inversion within the a22 constraint.
 

@@ -19,6 +19,16 @@ from .errors import ParseError, SingularMatrixError, VariableSetError
 from .poly import MultiPoly
 
 
+def adjugate3(m) -> tuple:
+    """Adjugate of a 3x3 grid of scalars or polynomials, by signed 2x2 minors."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+
+
 class Mat3:
     """Immutable 3x3 matrix over an exact domain."""
 
@@ -93,17 +103,7 @@ class Mat3:
 
     def adjugate(self) -> "Mat3":
         """Adj with M @ Adj(M) == det(M) * I exactly, also for singular M."""
-        dom = self.domain
-        (a, b, c), (d, e, f), (g, h, i) = self.rows
-
-        def m2(p, q, r, s):
-            return dom.sub(dom.mul(p, s), dom.mul(q, r))
-
-        return Mat3(dom, (
-            (m2(e, f, h, i), dom.neg(m2(b, c, h, i)), m2(b, c, e, f)),
-            (dom.neg(m2(d, f, g, i)), m2(a, c, g, i), dom.neg(m2(a, c, d, f))),
-            (m2(d, e, g, h), dom.neg(m2(a, b, g, h)), m2(a, b, d, e)),
-        ))
+        return Mat3(self.domain, adjugate3(self.rows))
 
     def cofactor_matrix(self) -> "Mat3":
         """det(M) (M^-1)^t for invertible M; transpose of the adjugate."""

@@ -41,12 +41,11 @@ from triforms.lattice import (
     pairing,
 )
 from triforms.matrices import Mat3, act_ternary
-
-from conftest import (
-    rand_bilinear,
-    rand_form,
-    rand_form22,
-    rand_invertible,
+from triforms.suites import (
+    random_bilinear,
+    random_form,
+    random_form22,
+    random_invertible,
 )
 
 
@@ -62,16 +61,16 @@ def test_criterion_01_discriminant_covariance():
     field = GF(10007)
     for n in (2, 3, 4):
         for _ in range(200):
-            f = rand_form(field, rng, n, 10006)
-            gamma = rand_invertible(field, rng, 10006)
+            f = random_form(field, rng, n, 10006)
+            gamma = random_invertible(field, rng, 10006)
             lhs = resultant_of_partials(act_ternary(gamma, f))
             rhs = field.mul(
                 field.pow(gamma.det(), n * (n - 1) ** 2), resultant_of_partials(f)
             )
             assert lhs == rhs
         for _ in range(50):
-            f = rand_form(QQ, rng, n, 5)
-            gamma = rand_invertible(QQ, rng, 3)
+            f = random_form(QQ, rng, n, 5)
+            gamma = random_invertible(QQ, rng, 3)
             lhs = resultant_of_partials(act_ternary(gamma, f))
             rhs = gamma.det() ** (n * (n - 1) ** 2) * resultant_of_partials(f)
             assert lhs == rhs
@@ -83,7 +82,7 @@ def test_criterion_02_degree_homogeneity():
     rng = Random(102)
     for n in (2, 3, 4):
         for _ in range(50):
-            f = rand_form(ZZ, rng, n, 6)
+            f = random_form(ZZ, rng, n, 6)
             c = rng.choice((-5, -3, -2, 2, 3, 4, 5))
             assert resultant_of_partials(f.scale(c)) == c ** (
                 3 * (n - 1) ** 2
@@ -109,7 +108,7 @@ def test_criterion_04_cubic_kappa_stability():
     kappa = None
     checked = 0
     while checked < 100:
-        f = rand_form(ZZ, rng, 3, 9)
+        f = random_form(ZZ, rng, 3, 9)
         raw = resultant_of_partials(f)
         lhs = 4 * cubic_I(f) ** 3 - cubic_J(f) ** 2
         if raw == 0:
@@ -127,7 +126,7 @@ def test_criterion_05_center_scaling():
     start = time.time()
     rng = Random(105)
     for _ in range(20):
-        f = rand_form(ZZ, rng, 3, 6)
+        f = random_form(ZZ, rng, 3, 6)
         base = resultant_of_partials(f)
         for u in (-1, 1, -2, 2, 3):
             moved = act_ternary(Mat3.scalar(ZZ, u), f)
@@ -143,8 +142,8 @@ def test_criterion_06_well_definedness():
     rng = Random(106)
     for dom in (QQ, GF(101)):
         for _ in range(100):
-            f = rand_form22(dom, rng)
-            L = rand_bilinear(dom, rng)
+            f = random_form22(dom, rng)
+            L = random_bilinear(dom, rng)
             assert verify_well_defined(f, L)
     _finish(6, "covariants well defined: symbolic + 100xQQ + 100xGF(101)", start, 60)
 
@@ -155,8 +154,8 @@ def test_criterion_07_v22_covariance():
     plans = ((GF(101), 100), (QQ, 25))
     for dom, trials in plans:
         for _ in range(trials):
-            F = canonicalize(rand_form22(dom, rng, 4))
-            gamma = rand_invertible(dom, rng, 3)
+            F = canonicalize(random_form22(dom, rng, 4))
+            gamma = random_invertible(dom, rng, 3)
             moved = act_22(gamma, F)
             det2 = dom.pow(gamma.det(), 2)
             assert covariant_x_ternary(moved) == covariant_x_ternary(F).substitute_linear(
@@ -176,7 +175,7 @@ def test_criterion_08_branch_locus_oracle():
         field = GF(p)
         found = 0
         while found < 10:
-            cls = canonicalize(rand_form22(field, rng, p - 1))
+            cls = canonicalize(random_form22(field, rng, p - 1))
             try:
                 if not is_generic_mod_p(cls, p):
                     continue

@@ -30,6 +30,7 @@ from triforms.errors import (
     ConstantSupportError,
     DegreeError,
     DegeneratePointError,
+    DomainMismatchError,
     PrimeError,
     SingularMatrixError,
     TriformsError,
@@ -44,8 +45,7 @@ from triforms.finitefield import (
 from triforms.fixtures import diagonal_22_cycle, diagonal_22_same, sigma_squared
 from triforms.matrices import Mat3
 from triforms.poly import VARS_BIQUAD, MultiPoly, parse_poly
-
-from conftest import rand_bilinear, rand_form22, rand_invertible
+from triforms.suites import random_bilinear, random_form22, random_invertible
 
 
 # -- canonicalization ------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_sigma_squared_is_zero_class():
 
 def test_canonicalize_idempotent(rng):
     for dom in (ZZ, QQ, GF(7)):
-        f = rand_form22(dom, rng)
+        f = random_form22(dom, rng)
         once = canonicalize(f)
         assert canonicalize(once.rep) == once
 
@@ -65,8 +65,8 @@ def test_canonicalize_idempotent(rng):
 def test_coset_invariance_random(rng):
     sigma = incidence_form(QQ)
     for _ in range(100):
-        f = rand_form22(QQ, rng)
-        L = rand_bilinear(QQ, rng)
+        f = random_form22(QQ, rng)
+        L = random_bilinear(QQ, rng)
         assert canonicalize(f + L * sigma) == canonicalize(f)
 
 
@@ -78,15 +78,15 @@ def test_coset_soundness_via_multiplier_solve(rng):
     """
     sigma = incidence_form(ZZ)
     for _ in range(50):
-        f = rand_form22(ZZ, rng)
-        L = rand_bilinear(ZZ, rng)
+        f = random_form22(ZZ, rng)
+        L = random_bilinear(ZZ, rng)
         g = f + L * sigma
         assert canonicalize(f) == canonicalize(g)
         recovered = ideal_multiplier(g - f)
         assert recovered == L
         assert recovered * sigma == g - f
     # near-misses: perturbing one coefficient leaves the ideal
-    f = rand_form22(ZZ, rng)
+    f = random_form22(ZZ, rng)
     bump = MultiPoly(ZZ, VARS_BIQUAD, {(2, 0, 0, 0, 2, 0): 1})
     assert canonicalize(f) != canonicalize(f + bump) or is_ideal_member(bump)
 
@@ -99,7 +99,7 @@ def test_wrong_bidegree_rejected():
 def test_hermite_vs_echelon_reductions_are_congruent(rng):
     # over ZZ and over QQ the canonical representatives may differ, but
     # only by an ideal element
-    f = rand_form22(ZZ, rng)
+    f = random_form22(ZZ, rng)
     r_int = canonicalize(f).rep
     r_rat = canonicalize(f.to_rationals()).rep
     assert is_ideal_member(r_int.to_rationals() - r_rat)
@@ -109,10 +109,10 @@ def test_hermite_vs_echelon_reductions_are_congruent(rng):
 
 
 def test_action_identity_and_zero(rng):
-    f = canonicalize(rand_form22(GF(7), rng))
+    f = canonicalize(random_form22(GF(7), rng))
     assert act_22(Mat3.identity(GF(7)), f) == f
     zero = canonicalize(MultiPoly.zero(GF(7), VARS_BIQUAD))
-    g = rand_invertible(GF(7), rng)
+    g = random_invertible(GF(7), rng)
     assert act_22(g, zero).is_zero()
 
 
@@ -124,7 +124,7 @@ def test_action_rejects_singular():
 
 def test_center_scaling_acts_by_sixth_power(rng):
     dom = GF(11)
-    f = canonicalize(rand_form22(dom, rng))
+    f = canonicalize(random_form22(dom, rng))
     for u in (2, 3, 7):
         gamma = Mat3.scalar(dom, u)
         assert act_22(gamma, f) == canonicalize(f.rep.scale(pow(u, 6, 11)))
@@ -132,8 +132,8 @@ def test_center_scaling_acts_by_sixth_power(rng):
 
 def test_action_invertible_via_inverse(rng):
     for _ in range(10):
-        f = canonicalize(rand_form22(QQ, rng))
-        gamma = rand_invertible(QQ, rng)
+        f = canonicalize(random_form22(QQ, rng))
+        gamma = random_invertible(QQ, rng)
         assert act_22(gamma.inverse(), act_22(gamma, f)) == f
 
 
@@ -144,7 +144,7 @@ def test_ideal_element_maps_to_zero_class(rng):
         dom, VARS_BIQUAD, "z1"
     )
     for _ in range(10):
-        gamma = rand_invertible(dom, rng)
+        gamma = random_invertible(dom, rng)
         assert act_22(gamma, canonicalize(elem)).is_zero()
 
 
@@ -173,7 +173,7 @@ def test_gram_contraction_roundtrip(rng):
     from triforms.biquadratic import contract_with_block
 
     for _ in range(100):
-        f = rand_form22(QQ, rng)
+        f = random_form22(QQ, rng)
         pair = gram_matrices(f)
         rebuilt_x = contract_with_block(pair.in_x, VARS_BIQUAD, X_BLOCK, QQ)
         rebuilt_z = contract_with_block(pair.in_z, VARS_BIQUAD, Z_BLOCK, QQ)
@@ -182,7 +182,7 @@ def test_gram_contraction_roundtrip(rng):
 
 
 def test_gram_symmetry(rng):
-    pair = gram_matrices(rand_form22(QQ, rng))
+    pair = gram_matrices(random_form22(QQ, rng))
     for i in range(3):
         for j in range(3):
             assert pair.in_x[i][j] == pair.in_x[j][i]
@@ -191,7 +191,7 @@ def test_gram_symmetry(rng):
 
 def test_gram_rejects_characteristic_two(rng):
     with pytest.raises(PrimeError):
-        gram_matrices(rand_form22(GF(2), rng))
+        gram_matrices(random_form22(GF(2), rng))
 
 
 # -- sextic covariants -------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_covariants_of_zero_class():
 
 
 def test_covariant_degrees(rng):
-    f = canonicalize(rand_form22(QQ, rng))
+    f = canonicalize(random_form22(QQ, rng))
     ix = covariant_x_ternary(f)
     iz = covariant_z_ternary(f)
     assert ix.homogeneous_degree() == 6
@@ -223,16 +223,16 @@ def test_covariant_degrees(rng):
 
 def test_well_definedness_random_rationals(rng):
     for _ in range(100):
-        f = rand_form22(QQ, rng)
-        L = rand_bilinear(QQ, rng)
+        f = random_form22(QQ, rng)
+        L = random_bilinear(QQ, rng)
         assert verify_well_defined(f, L)
 
 
 def test_well_definedness_random_prime_field(rng):
     dom = GF(101)
     for _ in range(100):
-        f = rand_form22(dom, rng)
-        L = rand_bilinear(dom, rng)
+        f = random_form22(dom, rng)
+        L = random_bilinear(dom, rng)
         assert verify_well_defined(f, L)
 
 
@@ -275,8 +275,8 @@ def test_well_definedness_fully_symbolic():
 def test_covariance_laws(rng):
     dom = GF(101)
     for _ in range(30):
-        f = canonicalize(rand_form22(dom, rng))
-        gamma = rand_invertible(dom, rng)
+        f = canonicalize(random_form22(dom, rng))
+        gamma = random_invertible(dom, rng)
         moved = act_22(gamma, f)
         lhs_x = covariant_x_ternary(moved)
         rhs_x = covariant_x_ternary(f).substitute_linear(gamma.rows).scale(dom.pow(gamma.det(), 2))
@@ -288,8 +288,8 @@ def test_covariance_laws(rng):
 
 def test_covariance_laws_rationals(rng):
     for _ in range(5):
-        f = canonicalize(rand_form22(QQ, rng))
-        gamma = rand_invertible(QQ, rng)
+        f = canonicalize(random_form22(QQ, rng))
+        gamma = random_invertible(QQ, rng)
         moved = act_22(gamma, f)
         assert covariant_x_ternary(moved) == covariant_x_ternary(f).substitute_linear(
             gamma.rows
@@ -314,7 +314,7 @@ def test_integrality_probe(rng):
         Fraction(-1, 4)
     ) * parse_poly("x1^2*x2^2", variables=X_BLOCK, domain=QQ)
     for _ in range(200):
-        f = canonicalize(rand_form22(ZZ, rng))
+        f = canonicalize(random_form22(ZZ, rng))
         for cov in (covariant_x_ternary(f), covariant_z_ternary(f)):
             assert all((4 * c).denominator == 1 for c in cov.terms.values())
 
@@ -342,11 +342,11 @@ def test_tangency_zero_gram_is_degenerate():
 
 
 def test_tangency_rejects_zero_point_and_char_two(rng):
-    cls = canonicalize(rand_form22(GF(11), rng))
+    cls = canonicalize(random_form22(GF(11), rng))
     with pytest.raises(ZeroInputError):
         tangency_test(cls, (0, 0, 0), "x")
     with pytest.raises(PrimeError):
-        tangency_test(canonicalize(rand_form22(GF(2), rng)), (1, 0, 0), "x")
+        tangency_test(canonicalize(random_form22(GF(2), rng)), (1, 0, 0), "x")
 
 
 def test_branch_locus_raises_on_degenerate_class():
@@ -363,7 +363,7 @@ def test_branch_locus_rejects_zero_class():
 def test_branch_locus_consistency_random(rng):
     found = 0
     while found < 3:
-        cls = canonicalize(rand_form22(GF(11), rng, 10))
+        cls = canonicalize(random_form22(GF(11), rng, 10))
         try:
             if not is_generic_mod_p(cls, 11):
                 continue
@@ -425,7 +425,7 @@ def test_branch_locus_report_builds_grams_once_per_side(rng, monkeypatch, p):
 
     monkeypatch.setattr(biquadratic, "gram_matrices", counting)
     while True:
-        cls = canonicalize(rand_form22(GF(p), rng, 10))
+        cls = canonicalize(random_form22(GF(p), rng, 10))
         try:
             branch_locus_report(cls)
         except (DegeneratePointError, ZeroInputError):
@@ -479,6 +479,19 @@ def test_generic_rejects_zero_and_char2():
         is_generic_mod_p(canonicalize(diagonal_22_same()), 2)
 
 
+@pytest.mark.parametrize(
+    "text",
+    # a class with nonzero sextic covariants, and one whose sextics vanish
+    ["x1^2*z2^2 + x2^2*z3^2 + x3^2*z1^2 + x1*x2*z1*z3", "x1^2*z1^2"],
+)
+def test_prime_field_class_refused_at_another_prime(text):
+    cls = canonicalize(parse_poly(text).reduce_mod_p(5))
+    for scan in (is_generic_mod_p, degenerate_points):
+        with pytest.raises(DomainMismatchError, match="GF\\(5\\).*13"):
+            scan(cls, 13)
+    assert is_generic_mod_p(cls, 5) is False  # its own prime still answers
+
+
 def test_generic_rejects_singular_covariant(rng):
     # the cycle class has smooth-looking structure but its covariant
     # x1^4 x2^2 + ... is singular at coordinate points
@@ -488,7 +501,7 @@ def test_generic_rejects_singular_covariant(rng):
 def test_generic_class_passes_branch_check(rng):
     found = 0
     while found < 2:
-        f = rand_form22(ZZ, rng, 5)
+        f = random_form22(ZZ, rng, 5)
         if not is_generic_mod_p(canonicalize(f), 11):
             continue
         report = branch_locus_report(canonicalize(f.reduce_mod_p(11)))
@@ -565,7 +578,7 @@ def test_degenerate_points_match_brute_force(rng, p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_scan_sides_match_public_covariants_and_evaluation(rng, p):
     for _ in range(3):
-        cls = canonicalize(rand_form22(GF(p), rng, 10))
+        cls = canonicalize(random_form22(GF(p), rng, 10))
         sides = biquadratic._scan_sides(cls)
         assert [side for side, _, _ in sides] == ["x", "z"]
         assert sides[0][2] == covariant_x_ternary(cls)
@@ -590,7 +603,7 @@ def test_generic_at_3_answers_or_refuses_constant_support(rng):
     refused = 0
     for dom in (GF(3), ZZ):
         for _ in range(8):
-            cls = canonicalize(rand_form22(dom, rng, 5))
+            cls = canonicalize(random_form22(dom, rng, 5))
             try:
                 assert is_generic_mod_p(cls, 3) in (True, False)
             except ConstantSupportError as exc:

@@ -136,8 +136,9 @@ def test_branch_check_degenerate_class_errors():
         ("generic", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "100003"),
         ("generic", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "41"),
         ("lattice-enum", "--box", "400"),
+        ("verify", "--suite", "branch-locus", "--primes", "11,100003"),
     ],
-    ids=["branch-check", "generic", "generic-41", "lattice-enum"],
+    ids=["branch-check", "generic", "generic-41", "lattice-enum", "verify-branch-locus"],
 )
 def test_unbounded_scans_refused_with_budget_error(args):
     start = time.perf_counter()
@@ -208,3 +209,56 @@ def test_math_error_carries_kind(tmp_path):
     assert proc.returncode == 1
     data = json.loads(proc.stdout)
     assert data["error"]["kind"] == "degree"
+
+
+def _write_json_form(path, variables, exponents, p):
+    terms = [{"e": e, "c": "1"} for e in exponents]
+    path.write_text(json.dumps({"vars": variables, "terms": terms, "p": p}))
+    return str(path)
+
+
+def test_mod_on_prime_field_form_must_match_its_prime(tmp_path):
+    fermat = [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
+    f7 = _write_json_form(tmp_path / "f7.json", ["x", "y", "z"], fermat, 7)
+    proc = run_cli("disc", "--form", f7, "--mod", "11")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "domain-mismatch"
+    proc = run_cli("disc", "--form", f7, "--mod", "7")
+    assert proc.returncode == 0
+    # the same curve read over ZZ and reduced by --mod gives the same value
+    fermat3 = str(FIXTURES / "fermat3.txt")
+    assert proc.stdout == run_cli("disc", "--form", fermat3, "--mod", "7").stdout
+
+
+@pytest.mark.parametrize("command", ["canonicalize", "branch-check", "generic"])
+def test_prime_field_class_refused_at_another_prime(tmp_path, command):
+    cycle = [[2, 0, 0, 0, 2, 0], [0, 2, 0, 0, 0, 2], [0, 0, 2, 2, 0, 0]]
+    g5 = _write_json_form(tmp_path / "g5.json", ["x1", "x2", "x3", "z1", "z2", "z3"], cycle, 5)
+    proc = run_cli(command, "--form", g5, "--mod", "13")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "domain-mismatch"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lattice-enum", "--box", "0"),
+        ("lattice-enum", "--box", "-5"),
+        ("verify", "--suite", "euler", "--trials", "0"),
+        ("verify", "--suite", "euler", "--trials", "-4"),
+    ],
+    ids=["box-0", "box-negative", "trials-0", "trials-negative"],
+)
+def test_sizes_below_one_are_usage_errors(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("prime", ["2", "3"])
+def test_verify_with_no_trials_run_is_not_a_pass(prime):
+    proc = run_cli("verify", "--suite", "branch-locus", "--primes", prime, "--trials", "2")
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["trials"] == 0
+    assert report["all_pass"] is False

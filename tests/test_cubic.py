@@ -30,8 +30,9 @@ from triforms.intutil import is_prime
 from triforms.fixtures import fermat, weierstrass_cubic
 from triforms.matrices import Mat3, act_ternary
 from triforms.poly import MultiPoly, VARS_XYZ
+from triforms.suites import random_form, random_invertible
 
-from conftest import rand_form, rand_invertible, rand_sl3
+from conftest import rand_sl3
 
 
 def hesse(m: int) -> MultiPoly:
@@ -83,7 +84,7 @@ def test_wrong_degree_rejected():
 
 def test_homogeneity_weights(rng):
     for _ in range(10):
-        f = rand_form(ZZ, rng, 3, 7)
+        f = random_form(ZZ, rng, 3, 7)
         c = rng.choice((-3, -2, 2, 5))
         assert cubic_I(f.scale(c)) == c**4 * cubic_I(f)
         assert cubic_J(f.scale(c)) == c**6 * cubic_J(f)
@@ -92,7 +93,7 @@ def test_homogeneity_weights(rng):
 def test_sl3_invariance_over_prime_field(rng):
     dom = GF(1009)
     for _ in range(100):
-        f = rand_form(dom, rng, 3, 1008)
+        f = random_form(dom, rng, 3, 1008)
         gamma = rand_sl3(dom, rng, 500)
         assert dom.is_zero(dom.sub(cubic_I(act_ternary(gamma, f)), cubic_I(f)))
         assert dom.is_zero(dom.sub(cubic_J(act_ternary(gamma, f)), cubic_J(f)))
@@ -100,7 +101,7 @@ def test_sl3_invariance_over_prime_field(rng):
 
 def test_sl3_invariance_over_rationals(rng):
     for _ in range(20):
-        f = rand_form(QQ, rng, 3, 6)
+        f = random_form(QQ, rng, 3, 6)
         gamma = rand_sl3(QQ, rng, 3)
         assert cubic_I(act_ternary(gamma, f)) == cubic_I(f)
         assert cubic_J(act_ternary(gamma, f)) == cubic_J(f)
@@ -108,8 +109,8 @@ def test_sl3_invariance_over_rationals(rng):
 
 def test_gl3_covariance_weights(rng):
     for _ in range(20):
-        f = rand_form(ZZ, rng, 3, 5)
-        gamma = rand_invertible(ZZ, rng, 3)
+        f = random_form(ZZ, rng, 3, 5)
+        gamma = random_invertible(ZZ, rng, 3)
         d = gamma.det()
         assert cubic_I(act_ternary(gamma, f)) == Fraction(d) ** 4 * cubic_I(f)
         assert cubic_J(act_ternary(gamma, f)) == Fraction(d) ** 6 * cubic_J(f)
@@ -118,7 +119,7 @@ def test_gl3_covariance_weights(rng):
 def test_kappa_stability(rng):
     kappa = None
     for _ in range(60):
-        f = rand_form(ZZ, rng, 3, 7)
+        f = random_form(ZZ, rng, 3, 7)
         raw = resultant_of_partials(f)
         lhs = 4 * cubic_I(f) ** 3 - cubic_J(f) ** 2
         if raw == 0:
@@ -132,7 +133,7 @@ def test_kappa_stability(rng):
 
 def test_center_scaling_matches_weighted_tuple_action(rng):
     for u in (-1, 2, 3):
-        f = rand_form(ZZ, rng, 3, 5)
+        f = random_form(ZZ, rng, 3, 5)
         scaled = act_ternary(Mat3.scalar(ZZ, u), f)
         expected = scale_tuple(Fraction(u) ** 3, tuple_of_cubic(f))
         assert tuple_of_cubic(scaled).values == expected.values
@@ -153,7 +154,7 @@ def test_delta_from_invariants_arithmetic():
 
 def test_delta_from_invariants_vanishes_exactly_on_singular(rng):
     for _ in range(30):
-        f = rand_form(ZZ, rng, 3, 6)
+        f = random_form(ZZ, rng, 3, 6)
         raw = resultant_of_partials(f)
         value = delta_from_invariants(cubic_I(f), cubic_J(f))
         assert (value == 0) == (raw == 0)
@@ -324,7 +325,7 @@ def test_invariants_consistent_under_reduction(rng):
     for p in (5, 1009):
         dom = GF(p)
         for _ in range(10):
-            f = rand_form(ZZ, rng, 3, 9)
+            f = random_form(ZZ, rng, 3, 9)
             expect_i = int(cubic_I(f)) % p
             expect_j = int(cubic_J(f)) % p
             fbar = f.reduce_mod_p(p)

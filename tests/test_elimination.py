@@ -29,8 +29,9 @@ from triforms.errors import (
 from triforms.fixtures import coordinate_triangle, fermat
 from triforms.matrices import Mat3, act_ternary
 from triforms.poly import MultiPoly, VARS_XYZ, parse_poly
+from triforms.suites import random_form, random_invertible
 
-from conftest import rand_form, rand_invertible, singular_points_fp
+from conftest import singular_points_fp
 
 
 def test_bareiss_matches_cofactor_expansion(rng):
@@ -72,7 +73,7 @@ def test_monomial_resultant_is_one(d):
 
 def test_resultant_multihomogeneity(rng):
     d = 2
-    forms = [rand_form(ZZ, rng, d, 4) for _ in range(3)]
+    forms = [random_form(ZZ, rng, d, 4) for _ in range(3)]
     base = macaulay_resultant(*forms)
     scaled = macaulay_resultant(forms[0].scale(3), forms[1], forms[2])
     assert scaled == 3 ** (d * d) * base
@@ -156,8 +157,8 @@ def test_fermat_quartic_raw_value():
 def test_discriminant_covariance(n, rng):
     dom = GF(10007)
     for _ in range(30):
-        f = rand_form(dom, rng, n, 10006)
-        gamma = rand_invertible(dom, rng, 10006)
+        f = random_form(dom, rng, n, 10006)
+        gamma = random_invertible(dom, rng, 10006)
         lhs = resultant_of_partials(act_ternary(gamma, f))
         rhs = dom.mul(dom.pow(gamma.det(), n * (n - 1) ** 2), resultant_of_partials(f))
         assert lhs == rhs
@@ -166,7 +167,7 @@ def test_discriminant_covariance(n, rng):
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_discriminant_homogeneity(n, rng):
     for _ in range(10):
-        f = rand_form(ZZ, rng, n, 5)
+        f = random_form(ZZ, rng, n, 5)
         c = rng.choice((-3, -2, 2, 3, 5))
         assert resultant_of_partials(f.scale(c)) == c ** (3 * (n - 1) ** 2) * resultant_of_partials(f)
 
@@ -193,7 +194,7 @@ def test_quadratic_discriminant_matches_gram_determinant(rng):
     """
     kappa = None
     for _ in range(100):
-        f = rand_form(ZZ, rng, 2, 9)
+        f = random_form(ZZ, rng, 2, 9)
         gram = Mat3(
             QQ,
             (
@@ -262,7 +263,7 @@ def test_smoothness_agrees_with_exhaustive_search(n, p, rng):
     """
     trials = 50
     for _ in range(trials):
-        f = rand_form(ZZ, rng, n, 9)
+        f = random_form(ZZ, rng, n, 9)
         fbar = f.reduce_mod_p(p)
         if fbar.is_zero():
             continue
@@ -302,9 +303,18 @@ def test_builtin_constants_are_reproducible():
         assert rederived == expected
 
 
+def test_normalization_constant_outside_builtin_range_refused():
+    for n in (0, 1):
+        with pytest.raises(DegreeError):
+            normalization_constant(n)
+    for n in (5, 6):
+        with pytest.raises(ConstantSupportError):
+            normalization_constant(n)
+
+
 def test_constant_divides_every_raw_value(rng):
     for n in (2, 3, 4):
         constant, _ = normalization_constant(n)
         for _ in range(10):
-            f = rand_form(ZZ, rng, n, 9)
+            f = random_form(ZZ, rng, n, 9)
             assert resultant_of_partials(f) % constant == 0

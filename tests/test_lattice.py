@@ -10,6 +10,7 @@ from triforms.lattice import (
     ALLOWED_A22,
     GRAM,
     IsometryCandidate,
+    box_cross_check,
     brute_force_box,
     enumerate_isometry_candidates,
     inverse_closure_report,
@@ -101,6 +102,17 @@ def test_brute_force_box_agreement():
         c.entries for c in cands if all(abs(v) <= 20 for row in c.entries for v in row)
     }
     assert {c.entries for c in box} == in_box
+
+
+def test_box_cross_check_reports_brute_force_count_and_agreement():
+    cands = enumerate_isometry_candidates()
+    for bound in (1, 20):
+        report = box_cross_check(bound, cands)
+        assert report == {
+            "bound": bound,
+            "count": len(brute_force_box(bound)),
+            "agrees_with_enumeration": True,
+        }
 
 
 def test_inverse_closure_checked_not_assumed():

@@ -7,8 +7,7 @@ from triforms.elimination import resultant_of_partials
 from triforms.errors import SingularMatrixError
 from triforms.matrices import Mat3, act_ternary
 from triforms.poly import parse_poly
-
-from conftest import rand_form, rand_invertible, rand_matrix
+from triforms.suites import random_form, random_invertible, random_matrix
 
 
 def test_det_identity():
@@ -42,7 +41,7 @@ def test_adjugate_rank_one_vanishes():
 @pytest.mark.parametrize("dom", (ZZ, GF(7)), ids=lambda d: d.name)
 def test_fundamental_adjugate_identity_random(dom, rng):
     for trial in range(200):
-        m = rand_matrix(dom, rng, 6)
+        m = random_matrix(dom, rng, 6)
         if trial % 4 == 0:
             # force a singular sample: duplicate a row
             rows = [list(r) for r in m.rows]
@@ -62,15 +61,15 @@ def test_cofactor_of_identity_and_diagonal():
 def test_cofactor_multiplicative_over_f7(rng):
     dom = GF(7)
     for _ in range(100):
-        a = rand_invertible(dom, rng)
-        b = rand_invertible(dom, rng)
+        a = random_invertible(dom, rng)
+        b = random_invertible(dom, rng)
         assert (a @ b).cofactor_matrix() == a.cofactor_matrix() @ b.cofactor_matrix()
 
 
 def test_cofactor_equals_det_times_inverse_transpose(rng):
     dom = QQ
     for _ in range(25):
-        m = rand_invertible(dom, rng)
+        m = random_invertible(dom, rng)
         expected = m.inverse().transpose().scale_entries(m.det())
         assert m.cofactor_matrix() == expected
 
@@ -97,15 +96,15 @@ def test_action_scales_last_variable():
 def test_action_composition_law(rng):
     dom = GF(10007)
     for _ in range(100):
-        f = rand_form(dom, rng, rng.randint(1, 3), 100)
-        g1 = rand_invertible(dom, rng, 100)
-        g2 = rand_invertible(dom, rng, 100)
+        f = random_form(dom, rng, rng.randint(1, 3), 100)
+        g1 = random_invertible(dom, rng, 100)
+        g2 = random_invertible(dom, rng, 100)
         assert act_ternary(g1 @ g2, f) == act_ternary(g1, act_ternary(g2, f))
 
 
 def test_center_scaling_multiplies_discriminant_by_u36(rng):
     for u in (-1, 2, 3):
-        f = rand_form(ZZ, rng, 3, 4)
+        f = random_form(ZZ, rng, 3, 4)
         gamma = Mat3.scalar(ZZ, u)
         moved = act_ternary(gamma, f)
         assert moved == f.scale(u**3)

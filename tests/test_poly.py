@@ -21,8 +21,7 @@ from triforms.poly import (
     parse_poly,
     poly_from_json,
 )
-
-from conftest import rand_form
+from triforms.suites import random_form
 
 DOMAINS = (ZZ, QQ, GF(7), GF(10007))
 
@@ -50,9 +49,9 @@ def test_zero_absorbs():
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.name)
 def test_ring_axioms_random(dom, rng):
     for _ in range(40):
-        f = rand_form(dom, rng, rng.randint(1, 3), 5)
-        g = rand_form(dom, rng, rng.randint(1, 3), 5)
-        h = rand_form(dom, rng, rng.randint(1, 3), 5)
+        f = random_form(dom, rng, rng.randint(1, 3), 5)
+        g = random_form(dom, rng, rng.randint(1, 3), 5)
+        h = random_form(dom, rng, rng.randint(1, 3), 5)
         assert f + g == g + f
         assert f * g == g * f
         assert (f + g) + h == f + (g + h)
@@ -62,8 +61,8 @@ def test_ring_axioms_random(dom, rng):
 
 def test_product_degree_additive(rng):
     for _ in range(20):
-        f = rand_form(ZZ, rng, rng.randint(1, 4), 5)
-        g = rand_form(ZZ, rng, rng.randint(1, 4), 5)
+        f = random_form(ZZ, rng, rng.randint(1, 4), 5)
+        g = random_form(ZZ, rng, rng.randint(1, 4), 5)
         assert (f * g).total_degree() == f.total_degree() + g.total_degree()
 
 
@@ -102,7 +101,7 @@ def test_euler_identity_cubic():
 def test_euler_identity_random_rationals(rng):
     for _ in range(100):
         n = rng.randint(1, 5)
-        f = rand_form(QQ, rng, n, 9)
+        f = random_form(QQ, rng, n, 9)
         assert euler_contraction(f) == f.scale(Fraction(n))
 
 
@@ -131,7 +130,7 @@ def test_substitution_composes_with_matrix_product(rng):
     # the later substitution acts on the inside of f(v . m1)
     dom = GF(101)
     for _ in range(100):
-        f = rand_form(dom, rng, rng.randint(1, 3), 50)
+        f = random_form(dom, rng, rng.randint(1, 3), 50)
         m1 = [[rng.randrange(101) for _ in range(3)] for _ in range(3)]
         m2 = [[rng.randrange(101) for _ in range(3)] for _ in range(3)]
         prod = [
@@ -142,7 +141,7 @@ def test_substitution_composes_with_matrix_product(rng):
 
 
 def test_substitution_preserves_homogeneous_degree(rng):
-    f = rand_form(ZZ, rng, 4, 5)
+    f = random_form(ZZ, rng, 4, 5)
     g = f.substitute_linear(((1, 2, 0), (0, 1, 1), (3, 0, 1)))
     assert g.is_zero() or g.homogeneous_degree() == 4
 
@@ -176,7 +175,7 @@ def test_reduce_mod_p_kills_coefficients():
 
 
 def test_reduce_mod_p_idempotent_values(rng):
-    f = rand_form(ZZ, rng, 3, 50)
+    f = random_form(ZZ, rng, 3, 50)
     g = f.reduce_mod_p(7)
     again = MultiPoly(ZZ, g.vars, dict(g.terms)).reduce_mod_p(7)
     assert g == again
@@ -191,8 +190,8 @@ def test_fermat_quartic_mod_2_is_fourth_power():
 def test_reduction_is_ring_homomorphism(rng):
     for p in (2, 5, 11):
         for _ in range(25):
-            f = rand_form(ZZ, rng, rng.randint(1, 3), 20)
-            g = rand_form(ZZ, rng, rng.randint(1, 3), 20)
+            f = random_form(ZZ, rng, rng.randint(1, 3), 20)
+            g = random_form(ZZ, rng, rng.randint(1, 3), 20)
             assert (f * g).reduce_mod_p(p) == f.reduce_mod_p(p) * g.reduce_mod_p(p)
             assert (f + g).reduce_mod_p(p) == f.reduce_mod_p(p) + g.reduce_mod_p(p)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from triforms.errors import TriformsError
+from triforms.errors import DegreeError, TriformsError
 from triforms.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -46,6 +46,25 @@ def test_branch_locus_reports_single_pairing():
 def test_kappa_reported():
     report = run_suite(SuiteConfig("cubic-kappa", seed=13, trials=5))
     assert report["kappa"] == "-256"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SuiteConfig("euler", seed=1, trials=0, domain="ZZ"),
+        SuiteConfig("branch-locus", seed=1, trials=2, primes=()),
+    ],
+    ids=["no-trials", "no-primes"],
+)
+def test_report_without_trials_is_not_a_pass(cfg):
+    report = run_suite(cfg)
+    assert report["trials"] == 0
+    assert report["all_pass"] is False
+
+
+def test_negative_degree_refused():
+    with pytest.raises(DegreeError):
+        run_suite(SuiteConfig("disc-covariance", degree=-2))
 
 
 def test_unknown_suite_rejected():
