@@ -24,9 +24,12 @@ test suite, symbolically and on random samples.
 Over a finite field of odd characteristic, a point of the projective plane
 lies on the branch locus of the corresponding projection exactly when the
 fiber line is tangent to the fiber conic; the restricted-discriminant test
-and the exhaustive branch-locus scan below implement that oracle, and the
-genericity test combines covariant smoothness with a degenerate-fiber
-search over F_p and F_{p^2}.  Each scan builds the class's Gram pair once:
+and the exhaustive branch-locus scan below implement that oracle.  The
+genericity test is the smoothness of both sextic covariants, which also
+rules out degenerate fibers over the algebraic closure (a degenerate point
+is a singular point of its side's sextic; see ``is_generic_mod_p``);
+``degenerate_points`` lists such points over F_{p^2}.  Each scan builds the
+class's Gram pair once:
 one side's Gram matrix gives both its fiber conics (entries as integer
 ternary terms, of which only the six distinct ones are evaluated at each
 point) and, through its adjugate, its sextic covariant.
@@ -651,12 +654,19 @@ def _reduced(f, p: int):
 
 
 def is_generic_mod_p(f, p: int) -> bool:
-    """Good-shape proxy for the reduction mod p (documented as a proxy):
+    """Whether the reduction mod p has good shape over F_p-bar.
 
-    (i) both sextic covariants of the reduction are nonzero and cut smooth
-    plane curves over F_p-bar, and (ii) neither projection has a degenerate
-    fiber point over P^2(F_p) or P^2(F_{p^2}).  Rejection is sound; the
-    F_{p^2} bound on the degeneracy search is the documented approximation.
+    Good shape means (i) both sextic covariants of the reduction are
+    nonzero and cut smooth plane curves, and (ii) neither projection has a
+    degenerate fiber, one whose conic contains its whole fiber line.  Only
+    (i) is tested, because it implies (ii).  Take the x-side (the z-side
+    mirrors it) and write its sextic as a bordered determinant,
+    S(x) = x^t Adj(G(x)) x = -det B(x) with B(x) = [[G(x), x], [x^t, 0]].
+    Over a degenerate point x0, G(x0) = x0 l^t + l x0^t for some vector l,
+    so B(x0) has the two-dimensional kernel {(v, -l.v) : x0.v = 0}; then
+    Adj(B(x0)) = 0, and Jacobi's formula gives grad S(x0) = 0.  Every
+    degenerate point over every extension of F_p is thus a singular point
+    of its side's sextic, and the verdict is exact.
 
     At p = 3 most classes, integer ones included, are refused with
     ConstantSupportError by design: the raw discriminant of a degree-6
@@ -673,7 +683,4 @@ def is_generic_mod_p(f, p: int) -> bool:
     sides = _scan_sides(cls)
     if any(sextic.is_zero() for _, _, sextic in sides):
         return False
-    if not all(is_smooth_mod_p(sextic, p) for _, _, sextic in sides):
-        return False
-    ext = QuadExtension(p)
-    return not any(_degenerate_scan_side(*side, ext) for side in sides)
+    return all(is_smooth_mod_p(sextic, p) for _, _, sextic in sides)

@@ -30,6 +30,14 @@ BRANCH_CHECK_MAX_POINTS = 250_000
 GENERIC_MAX_POINTS = 4_000_000
 LATTICE_BOX_MAX_CELLS = 430_000
 
+# Milliseconds one verify --suite disc-covariance trial took on the same box,
+# by degree: the slower of ZZ and QQ, rounded up (GF(p) trials are cheaper,
+# 0.5-60 ms, and are estimated at this cost too).  A trial costs ~6x more
+# per degree; one at degree 8 took 17 s, over the bound on its own, so
+# higher degrees are refused outright.
+DISC_TRIAL_MS = {2: 1, 3: 3, 4: 15, 5: 150, 6: 900, 7: 9000}
+DISC_COVARIANCE_MAX_MS = 10_000
+
 
 def _plane_points(q: int) -> int:
     """Points a two-sided scan of P^2(F_q) visits: one pass per projection."""
@@ -208,6 +216,13 @@ def _cmd_verify(args) -> int:
         # each trial runs the genericity scan of the generic command
         for p in primes:
             _require_budget("verify", _plane_points(p**2), GENERIC_MAX_POINTS, "points")
+    # degrees below 2 are refused by the suite itself, with kind "degree";
+    # a trial above the table's degrees is over the bound on its own
+    if args.suite == "disc-covariance" and args.degree >= 2:
+        per_trial = DISC_TRIAL_MS.get(args.degree, DISC_COVARIANCE_MAX_MS + 1)
+        _require_budget(
+            "verify", args.trials * per_trial, DISC_COVARIANCE_MAX_MS, "ms of estimated work"
+        )
     cfg = SuiteConfig(
         suite=args.suite,
         seed=args.seed,

@@ -17,11 +17,12 @@ computation is retried; after eight failures we give up loudly.
 
 The curve discriminant is the resultant of the three partial derivatives,
 homogeneous of degree 3(n-1)^2 in the coefficients; dividing by the content
-of that integer polynomial (a per-degree constant, derived here by sampling)
-gives the primitive normalization.
+of that integer polynomial (a per-degree constant, read from a built-in
+table that ``derive_normalization_constant`` reproduces by sampling) gives
+the primitive normalization.
 
-Determinants are fraction-free Bareiss over the integers and ordinary
-row elimination over prime fields.
+Determinants are fraction-free Bareiss over the integers and, over prime
+fields, row elimination with each row packed into one Python integer.
 """
 
 from __future__ import annotations
@@ -81,34 +82,56 @@ def det_bareiss(rows: list[list[int]]) -> int:
 
 
 def det_mod_p(rows: list[list[int]], p: int) -> int:
-    """Determinant over F_p by row elimination (destroys its input)."""
+    """Determinant over F_p by row elimination on rows packed into integers.
+
+    Each row becomes one nonnegative integer with column j in bits
+    [j*w, (j+1)*w), w = (n*p*p).bit_length().  After step k every remaining
+    row is shifted right by w, so the pivot column is always the low field.
+    The pivot row is reduced to [0, p) and scaled to lead 1 once per step;
+    every other row with lead l != 0 becomes (row >> w) + (p - l) * pivot,
+    which adds less than p*p to each field.  A row takes at most n - 1 such
+    updates on top of an entry below p, so every field stays below n*p*p
+    < 2**w and no carry crosses a field.  Pivot choice (first row whose
+    lead is nonzero mod p) and the sign of each swap are those of plain
+    elimination.  The input is read, not modified.
+    """
     n = len(rows)
     if n == 0:
         return 1 % p
+    w = (n * p * p).bit_length()
+    mask = (1 << w) - 1
+    packed = []
+    for row in rows:
+        r = 0
+        for j, a in enumerate(row):
+            if a:
+                r |= (a % p) << (j * w)
+        packed.append(r)
     det = 1
     for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if rows[r][k] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            det = -det
-        pivot = rows[k][k] % p
-        det = det * pivot % p
-        inv = pow(pivot, p - 2, p)
-        tail = rows[k][k + 1 :]
-        for i in range(k + 1, n):
-            row = rows[i]
-            lead = row[k] % p
+        for i in range(k, n):
+            lead = (packed[i] & mask) % p
             if lead:
-                factor = lead * inv % p
-                row[k + 1 :] = [
-                    (a - factor * b) % p for a, b in zip(row[k + 1 :], tail)
-                ]
+                break
+        else:
+            return 0
+        if i != k:
+            packed[k], packed[i] = packed[i], packed[k]
+            det = -det
+        det = det * lead % p
+        inv = pow(lead, p - 2, p)
+        # the pivot row past its lead, each field reduced and scaled by 1/lead
+        rest, pivot, shift = packed[k] >> w, 0, 0
+        while rest:
+            a = rest & mask
+            if a:
+                pivot |= (a * inv % p) << shift
+            rest >>= w
+            shift += w
+        for i in range(k + 1, n):
+            r = packed[i]
+            lead = (r & mask) % p
+            packed[i] = (r >> w) + (p - lead) * pivot if lead else r >> w
     return det % p
 
 

@@ -121,9 +121,14 @@ def _report(cfg: SuiteConfig, results: list[dict]) -> dict:
 
 
 def suite_disc_covariance(cfg: SuiteConfig) -> dict:
+    n = cfg.degree
+    if n < 2:
+        # a constant form has zero partials, which force both sides of the
+        # identity to 0, so nothing would be checked; a linear form's
+        # partials are constants, which have no resultant
+        raise DegreeError(f"disc-covariance needs degree >= 2, got {n}")
     rng = Random(cfg.seed)
     dom = cfg.resolve_domain()
-    n = cfg.degree
     results = []
     for trial in range(cfg.trials):
         f = random_form(dom, rng, n, 5)

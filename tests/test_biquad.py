@@ -1,6 +1,7 @@
 """(2,2)-classes: canonicalization, covariants, tangency, genericity."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -26,6 +27,7 @@ from triforms.biquadratic import (
     verify_well_defined,
 )
 from triforms.domains import GF, QQ, ZZ
+from triforms.elimination import singular_points_fp2
 from triforms.errors import (
     ConstantSupportError,
     DegreeError,
@@ -573,6 +575,61 @@ def test_degenerate_points_match_brute_force(rng, p):
         assert pts == _degenerate_points_brute_force(cls, p)
         nonempty += bool(pts["x"] or pts["z"])
     assert nonempty >= 1
+
+
+# the x1^2 * z^b monomials with b off z1: zeroing them makes f(e1, z)
+# divisible by z1, so the fiber over x = e1 contains its line z1 = 0
+_OFF_LINE_AT_E1 = [m for m in _MONOMIALS_22 if m[0] == 2 and m[3] == 0]
+
+
+def _lemma_classes(p, rng):
+    """Seeded GF(p) classes: dense, sparse, and degenerate over x = e1."""
+    for kind in ("dense", "sparse", "forced"):
+        for _ in range(4):
+            density = 0.25 if kind == "sparse" else 1.0
+            terms = {m: rng.randrange(p) for m in _MONOMIALS_22 if rng.random() < density}
+            if kind == "forced":
+                for m in _OFF_LINE_AT_E1:
+                    terms.pop(m, None)
+            yield kind, canonicalize(MultiPoly(GF(p), VARS_BIQUAD, terms))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_degenerate_points_are_singular_points_of_the_sextic(p):
+    # the lemma behind is_generic_mod_p: a degenerate fiber point is a
+    # singular point of its side's sextic, so smooth sextics leave none
+    rng = Random(6000 + p)
+    degenerate_classes = 0
+    for kind, cls in _lemma_classes(p, rng):
+        sextics = {side: sextic for side, _, sextic in biquadratic._scan_sides(cls)}
+        if any(sextic.is_zero() for sextic in sextics.values()):
+            continue
+        points = degenerate_points(cls)
+        for side, found in points.items():
+            if found:
+                assert set(found) <= set(singular_points_fp2(sextics[side], p))
+        if kind == "forced":
+            assert ((1, 0), (0, 0), (0, 0)) in points["x"]
+        if points["x"] or points["z"]:
+            degenerate_classes += 1
+            assert is_generic_mod_p(cls, p) is False
+    assert degenerate_classes >= 4
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_generic_never_scans_fibers(monkeypatch, p):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_generic_mod_p scanned a fiber or a zero set")
+
+    # is_smooth_mod_p keeps its own singular-point fallback for sextics too
+    # degenerate for every Macaulay retry (some sparse classes here), so only
+    # the fiber scan's names in biquadratic are forbidden
+    classes = list(_lemma_classes(p, Random(6100 + p)))
+    monkeypatch.setattr(biquadratic, "ternary_zeros_ext", forbidden)
+    monkeypatch.setattr(biquadratic, "_degenerate_scan_side", forbidden)
+    monkeypatch.setattr(biquadratic, "QuadExtension", forbidden)
+    verdicts = [is_generic_mod_p(cls, p) for _, cls in classes]
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("p", [5, 7])

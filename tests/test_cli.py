@@ -137,8 +137,16 @@ def test_branch_check_degenerate_class_errors():
         ("generic", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "41"),
         ("lattice-enum", "--box", "400"),
         ("verify", "--suite", "branch-locus", "--primes", "11,100003"),
+        ("verify", "--suite", "disc-covariance", "--degree", "8", "--trials", "1"),
+        ("verify", "--suite", "disc-covariance", "--degree", "10000000000", "--trials", "1"),
+        ("verify", "--suite", "disc-covariance", "--degree", "7", "--trials", "2"),
+        ("verify", "--suite", "disc-covariance", "--degree", "3", "--trials", "100000"),
     ],
-    ids=["branch-check", "generic", "generic-41", "lattice-enum", "verify-branch-locus"],
+    ids=[
+        "branch-check", "generic", "generic-41", "lattice-enum", "verify-branch-locus",
+        "disc-covariance-8", "disc-covariance-huge", "disc-covariance-7x2",
+        "disc-covariance-trials",
+    ],
 )
 def test_unbounded_scans_refused_with_budget_error(args):
     start = time.perf_counter()
@@ -155,6 +163,26 @@ def test_scans_within_budget_still_answer():
     proc = run_cli("lattice-enum", "--box", "20")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["box"]["agrees_with_enumeration"]
+
+
+def test_disc_covariance_within_budget_still_answers():
+    proc = run_cli(
+        "verify", "--suite", "disc-covariance", "--seed", "1", "--trials", "200",
+        "--domain", "GF(10007)", "--degree", "3",
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["all_pass"] is True
+
+
+@pytest.mark.parametrize("degree", ["0", "1", "-2"])
+def test_disc_covariance_refuses_degree_below_2(degree):
+    # a constant form has zero partials, so a degree-0 trial checked nothing
+    proc = run_cli(
+        "verify", "--suite", "disc-covariance", "--degree", degree, "--trials", "1",
+        "--domain", "ZZ",
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "degree"
 
 
 def test_lattice_enum_subcommand():

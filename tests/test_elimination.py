@@ -5,6 +5,7 @@ exhaustive singular-point search over F_p and F_{p^2}.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -13,6 +14,7 @@ from triforms.elimination import (
     bad_primes,
     derive_normalization_constant,
     det_bareiss,
+    det_mod_p,
     discriminant,
     is_smooth_mod_p,
     macaulay_resultant,
@@ -39,6 +41,50 @@ def test_bareiss_matches_cofactor_expansion(rng):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         expected = Mat3(ZZ, rows).det()
         assert det_bareiss([row[:] for row in rows]) == expected
+
+
+def _kernel_cases(n, p, rng):
+    """Matrices for the mod-p determinant: dense with entries far outside
+    [0, p), sparse, a zero column, a singular one (row dependency) and one
+    whose first pivot candidates vanish mod p (forcing swaps)."""
+    dense = [[rng.randint(-3 * p - 5, 3 * p + 5) for _ in range(n)] for _ in range(n)]
+    sparse = [[rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(n)] for _ in range(n)]
+    cases = [dense, sparse]
+    if n >= 2:
+        zero_col = [row[:] for row in dense]
+        for row in zero_col:
+            row[n // 2] = p * rng.randint(-2, 2)
+        dependent = [row[:] for row in dense]
+        dependent[-1] = [a - 3 * b + p for a, b in zip(dense[0], dense[1])]
+        # row i < n - 1 vanishes mod p up to column i and has 1 just after,
+        # so only the last row can take the first pivot; the determinant is
+        # a unit mod p
+        swaps = [[p * rng.randint(-2, 2) if j <= i < n - 1 else rng.randint(-9, 9)
+                  for j in range(n)] for i in range(n)]
+        for i in range(n - 1):
+            swaps[i][i + 1] = 1
+        swaps[-1][0] = 1
+        cases += [zero_col, dependent, swaps]
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 10007, 2**61 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40])
+def test_det_mod_p_matches_bareiss(n, p):
+    rng = Random(1000 * n + p % 1000)
+    for rows in _kernel_cases(n, p, rng):
+        before = [row[:] for row in rows]
+        assert det_mod_p(rows, p) == det_bareiss([row[:] for row in rows]) % p
+        assert rows == before  # the input is read, not modified
+
+
+def test_det_mod_p_macaulay_size():
+    # the degree-13 Macaulay matrix of sextic partials is 105 x 105
+    rng = Random(105)
+    rows = [[rng.randint(-20, 20) if rng.random() < 0.3 else 0 for _ in range(105)]
+            for _ in range(105)]
+    for p in (13, 10007):
+        assert det_mod_p(rows, p) == det_bareiss([row[:] for row in rows]) % p
 
 
 def test_macaulay_matrix_is_square_at_critical_degree():

@@ -67,6 +67,13 @@ def test_negative_degree_refused():
         run_suite(SuiteConfig("disc-covariance", degree=-2))
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_disc_covariance_refuses_degrees_below_2(degree):
+    # constant partials force both sides of the identity: nothing is checked
+    with pytest.raises(DegreeError):
+        run_suite(SuiteConfig("disc-covariance", seed=1, trials=1, domain="ZZ", degree=degree))
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(TriformsError):
         run_suite(SuiteConfig("nonsense"))
