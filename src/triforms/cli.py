@@ -30,13 +30,31 @@ BRANCH_CHECK_MAX_POINTS = 250_000
 GENERIC_MAX_POINTS = 4_000_000
 LATTICE_BOX_MAX_CELLS = 430_000
 
-# Milliseconds one verify --suite disc-covariance trial took on the same box,
-# by degree: the slower of ZZ and QQ, rounded up (GF(p) trials are cheaper,
-# 0.5-60 ms, and are estimated at this cost too).  A trial costs ~6x more
-# per degree; one at degree 8 took 17 s, over the bound on its own, so
-# higher degrees are refused outright.
+# Largest good-reduction --trial-bound.  The primes up to the bound stay in
+# memory for the life of the process; on the same box a first factoring at
+# 10**7 took 0.6 s and a peak RSS of 55 MB, and both grow linearly with it.
+TRIAL_BOUND_MAX = 10**7
+
+# Milliseconds one verify trial took on the same box, rounded up, so that an
+# accepted verify finishes in about VERIFY_MAX_MS.  disc-covariance is timed
+# by degree, the slower of ZZ and QQ (GF(p) trials are cheaper, 0.5-60 ms,
+# and are estimated at this cost too); a trial costs ~6x more per degree,
+# one at degree 8 took 17 s, over the bound on its own, so higher degrees
+# are refused outright.  Every other suite is timed over ZZ, QQ and GF(101),
+# at the slowest.  A branch-locus trial is charged once per prime, at its
+# cost at p = 37, the largest prime it accepts; lattice-enum runs once
+# whatever --trials is.
 DISC_TRIAL_MS = {2: 1, 3: 3, 4: 15, 5: 150, 6: 900, 7: 9000}
-DISC_COVARIANCE_MAX_MS = 10_000
+VERIFY_TRIAL_MS = {
+    "euler": 1,
+    "cubic-kappa": 1,
+    "action-laws": 8,
+    "v22-welldef": 20,
+    "v22-covariance": 60,
+    "branch-locus": 120,
+    "lattice-enum": 0,
+}
+VERIFY_MAX_MS = 10_000
 
 
 def _plane_points(q: int) -> int:
@@ -93,6 +111,7 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_good_reduction(args) -> int:
+    _require_budget("good-reduction", args.trial_bound, TRIAL_BOUND_MAX, "sieve entries")
     f = _read_form(args.form)
     s = _parse_prime_set(args.s_set)
     bad, cofactor = elimination.bad_primes(f, s, args.trial_bound)
@@ -216,13 +235,15 @@ def _cmd_verify(args) -> int:
         # each trial runs the genericity scan of the generic command
         for p in primes:
             _require_budget("verify", _plane_points(p**2), GENERIC_MAX_POINTS, "points")
-    # degrees below 2 are refused by the suite itself, with kind "degree";
-    # a trial above the table's degrees is over the bound on its own
-    if args.suite == "disc-covariance" and args.degree >= 2:
-        per_trial = DISC_TRIAL_MS.get(args.degree, DISC_COVARIANCE_MAX_MS + 1)
-        _require_budget(
-            "verify", args.trials * per_trial, DISC_COVARIANCE_MAX_MS, "ms of estimated work"
-        )
+    if args.suite == "disc-covariance":
+        # degrees below 2 are refused by the suite itself, with kind "degree";
+        # a trial above the table's degrees is over the bound on its own
+        per_trial = DISC_TRIAL_MS.get(args.degree, VERIFY_MAX_MS + 1) if args.degree >= 2 else 0
+    elif args.suite == "branch-locus":
+        per_trial = VERIFY_TRIAL_MS[args.suite] * len(primes)
+    else:
+        per_trial = VERIFY_TRIAL_MS[args.suite]
+    _require_budget("verify", args.trials * per_trial, VERIFY_MAX_MS, "ms of estimated work")
     cfg = SuiteConfig(
         suite=args.suite,
         seed=args.seed,
@@ -259,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("good-reduction", help="bad primes of a ternary form")
     p.add_argument("--form", required=True)
     p.add_argument("--s-set", default="")
-    p.add_argument("--trial-bound", type=int, default=100_000)
+    p.add_argument("--trial-bound", type=_positive_int, default=100_000)
     p.set_defaults(func=_cmd_good_reduction)
 
     p = sub.add_parser("act", help="apply a matrix to a form")

@@ -90,25 +90,28 @@ def _expand_symbol(brackets) -> tuple[tuple[tuple[tuple[int, int, int], ...], in
 
 
 def _evaluate_symbol(expansion, f, dom: Domain):
-    """Sum the expansion against scaled coefficients of a ternary cubic."""
-    inv6 = dom.inv(dom.from_int(6))
-    inv3 = dom.inv(dom.from_int(3))
-    one = dom.one()
-    scale_by_multinomial = {1: dom.inv(one), 3: inv3, 6: inv6}
-    scaled = {}
-    for exps, coeff in f.terms.items():
-        scaled[exps] = dom.mul(coeff, scale_by_multinomial[_MULTINOMIAL3[exps]])
+    """6**k times the value of a degree-k expansion on a ternary cubic.
+
+    The symbolic method puts f_alpha / m in place of each letter-exponent
+    triple alpha, with m = multinomial(3, alpha) in {1, 3, 6}.  Here each
+    coefficient is scaled instead by the integer 6/m, so nothing is divided
+    in f's domain (an integer cubic is evaluated in integers), and each
+    term, a product of k scaled coefficients, is 6**k times the classical
+    one.  The caller divides by 6**k once.
+    """
+    scaled = {
+        exps: dom.mul(coeff, dom.from_int(6 // _MULTINOMIAL3[exps]))
+        for exps, coeff in f.terms.items()
+    }
     total = dom.zero()
     for multiset, coeff in expansion:
         acc = dom.from_int(coeff)
-        ok = True
         for alpha in multiset:
             c = scaled.get(alpha)
             if c is None:
-                ok = False
                 break
             acc = dom.mul(acc, c)
-        if ok:
+        else:
             total = dom.add(total, acc)
     return total
 
@@ -136,28 +139,30 @@ def _check_cubic(f):
         raise DegreeError("cubic invariants need a homogeneous cubic")
 
 
-def _eval_domain(f):
-    dom = f.domain
-    if dom == ZZ:
-        return f.to_rationals(), QQ
-    if dom == QQ:
-        return f, QQ
+def _check_domain(dom):
     if isinstance(dom, PrimeField):
         if dom.p in (2, 3):
             raise PrimeError("cubic invariants need characteristic > 3")
-        return f, dom
-    raise DomainMismatchError(f"cubic invariants unsupported over {dom.name}")
+    elif dom != ZZ and dom != QQ:
+        raise DomainMismatchError(f"cubic invariants unsupported over {dom.name}")
 
 
 def _scaled_invariant(f, symbol, scale: Fraction):
-    """The bracket monomial ``symbol`` evaluated on f, times the frozen scale."""
+    """The bracket monomial ``symbol`` evaluated on f, times the frozen scale.
+
+    Each letter occurs in three brackets of three letters, so the degree of
+    the invariant is the number of brackets.  Over ZZ and QQ the value is a
+    Fraction.
+    """
     _check_cubic(f)
-    g, dom = _eval_domain(f)
-    value = _evaluate_symbol(_expand_symbol(symbol), g, dom)
-    if dom == QQ:
-        return value * scale
-    num, den = scale.numerator, scale.denominator
-    return dom.mul(value, dom.mul(dom.from_int(num), dom.inv(dom.from_int(den))))
+    dom = f.domain
+    _check_domain(dom)
+    value = _evaluate_symbol(_expand_symbol(symbol), f, dom)
+    divisor = 6 ** len(symbol)
+    if isinstance(dom, PrimeField):
+        num, den = scale.numerator, scale.denominator * divisor
+        return dom.mul(value, dom.mul(dom.from_int(num), dom.inv(dom.from_int(den))))
+    return value * scale / divisor
 
 
 def cubic_I(f):

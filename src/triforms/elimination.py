@@ -21,8 +21,11 @@ of that integer polynomial (a per-degree constant, read from a built-in
 table that ``derive_normalization_constant`` reproduces by sampling) gives
 the primitive normalization.
 
-Determinants are fraction-free Bareiss over the integers and, over prime
-fields, row elimination with each row packed into one Python integer.
+The rows of M and M' are built straight from the forms' terms, as
+(column, coefficient) pairs of their nonzero entries.  Determinants are
+fraction-free Bareiss over the integers, on those rows made dense, and,
+over prime fields, row elimination on the same rows packed into one Python
+integer each, from coefficients reduced mod p once per form.
 """
 
 from __future__ import annotations
@@ -82,7 +85,17 @@ def det_bareiss(rows: list[list[int]]) -> int:
 
 
 def det_mod_p(rows: list[list[int]], p: int) -> int:
-    """Determinant over F_p by row elimination on rows packed into integers.
+    """Determinant over F_p of an integer matrix given as dense rows.
+
+    The input is read, not modified.
+    """
+    return _det_sparse_mod_p([[(j, a % p) for j, a in enumerate(row) if a] for row in rows], p)
+
+
+def _det_sparse_mod_p(rows: list[list[tuple[int, int]]], p: int) -> int:
+    """Determinant over F_p of a square matrix given row by row as
+    (column, entry) pairs, each entry in [0, p), by row elimination on rows
+    packed into integers.
 
     Each row becomes one nonnegative integer with column j in bits
     [j*w, (j+1)*w), w = (n*p*p).bit_length().  After step k every remaining
@@ -93,20 +106,12 @@ def det_mod_p(rows: list[list[int]], p: int) -> int:
     updates on top of an entry below p, so every field stays below n*p*p
     < 2**w and no carry crosses a field.  Pivot choice (first row whose
     lead is nonzero mod p) and the sign of each swap are those of plain
-    elimination.  The input is read, not modified.
+    elimination.
     """
     n = len(rows)
-    if n == 0:
-        return 1 % p
     w = (n * p * p).bit_length()
     mask = (1 << w) - 1
-    packed = []
-    for row in rows:
-        r = 0
-        for j, a in enumerate(row):
-            if a:
-                r |= (a % p) << (j * w)
-        packed.append(r)
+    packed = [sum(a << (j * w) for j, a in row) for row in rows]
     det = 1
     for k in range(n):
         for i in range(k, n):
@@ -154,6 +159,7 @@ class _MacaulayPlan:
     index: dict
     assignment: tuple[tuple[int, tuple[int, int, int]], ...]
     nonreduced: tuple[int, ...]
+    minor_index: dict  # column of each monomial of M' within M'
 
 
 @lru_cache(maxsize=None)
@@ -171,30 +177,43 @@ def _plan(d: int) -> _MacaulayPlan:
         assignment.append((which, tuple(mult)))
         if sum(flags) >= 2:
             nonreduced.append(i)
-    return _MacaulayPlan(d, nu, monos, index, tuple(assignment), tuple(nonreduced))
+    minor_index = {monos[i]: j for j, i in enumerate(nonreduced)}
+    return _MacaulayPlan(
+        d, nu, monos, index, tuple(assignment), tuple(nonreduced), minor_index
+    )
 
 
-def _coeff_rows(plan: _MacaulayPlan, forms, rows_subset=None, cols_subset=None):
-    """Integer coefficient rows of the (sub)matrix selected by the index sets."""
-    col_map = None
-    if cols_subset is not None:
-        col_map = {plan.monomials[i]: j for j, i in enumerate(cols_subset)}
-        width = len(cols_subset)
+def _sparse_rows(plan: _MacaulayPlan, terms, minor: bool) -> list[list[tuple[int, int]]]:
+    """The rows of M, or of M' when ``minor``, as (column, coefficient) pairs.
+
+    ``terms`` holds each form's (exponents, coefficient) pairs.  A row's
+    pairs are its form's terms shifted by the row's multiplier, so only the
+    nonzero entries are ever touched; in M' a shifted term whose monomial
+    is not a column of M' is dropped.
+    """
+    if minor:
+        row_ids, index = plan.nonreduced, plan.minor_index
     else:
-        width = len(plan.monomials)
-    row_ids = rows_subset if rows_subset is not None else range(len(plan.monomials))
-    out = []
+        row_ids, index = range(len(plan.monomials)), plan.index
+    rows = []
     for r in row_ids:
-        which, mult = plan.assignment[r]
-        row = [0] * width
-        for exps, coeff in forms[which].terms.items():
-            mono = (mult[0] + exps[0], mult[1] + exps[1], mult[2] + exps[2])
-            if col_map is None:
-                row[plan.index[mono]] = coeff
-            else:
-                j = col_map.get(mono)
-                if j is not None:
-                    row[j] = coeff
+        which, (a, b, c) = plan.assignment[r]
+        row = []
+        for (x, y, z), coeff in terms[which]:
+            j = index.get((a + x, b + y, c + z))
+            if j is not None:
+                row.append((j, coeff))
+        rows.append(row)
+    return rows
+
+
+def _dense(rows: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Square dense rows from rows of (column, entry) pairs."""
+    out = []
+    for pairs in rows:
+        row = [0] * len(rows)
+        for j, a in pairs:
+            row[j] = a
         out.append(row)
     return out
 
@@ -223,17 +242,26 @@ def _unimodular(attempt: int) -> list[list[int]]:
 
 
 def _quotient(plan, forms, p: int | None) -> int | None:
-    """det(M)/det(M') over ZZ (p None) or GF(p), or None when det(M') = 0."""
+    """det(M)/det(M') over ZZ (p None) or GF(p), or None when det(M') = 0.
 
-    def det(rows):
-        return det_bareiss(rows) if p is None else det_mod_p(rows, p)
+    Over ZZ the rows are densified for Bareiss; over GF(p) each form's
+    coefficients are reduced mod p once and the rows are packed from them.
+    """
+    if p is None:
+        terms = [list(g.terms.items()) for g in forms]
+    else:
+        terms = [[(e, c % p) for e, c in g.terms.items()] for g in forms]
+
+    def det(minor):
+        rows = _sparse_rows(plan, terms, minor)
+        return det_bareiss(_dense(rows)) if p is None else _det_sparse_mod_p(rows, p)
 
     dprime = 1
     if plan.nonreduced:
-        dprime = det(_coeff_rows(plan, forms, plan.nonreduced, plan.nonreduced))
+        dprime = det(True)
         if dprime == 0:
             return None
-    dfull = det(_coeff_rows(plan, forms))
+    dfull = det(False)
     if p is not None:
         return dfull * pow(dprime, p - 2, p) % p
     quotient, remainder = divmod(dfull, dprime)

@@ -141,11 +141,21 @@ def test_branch_check_degenerate_class_errors():
         ("verify", "--suite", "disc-covariance", "--degree", "10000000000", "--trials", "1"),
         ("verify", "--suite", "disc-covariance", "--degree", "7", "--trials", "2"),
         ("verify", "--suite", "disc-covariance", "--degree", "3", "--trials", "100000"),
+        ("verify", "--suite", "euler", "--trials", "10001"),
+        ("verify", "--suite", "cubic-kappa", "--trials", "10001"),
+        ("verify", "--suite", "action-laws", "--trials", "1251"),
+        ("verify", "--suite", "v22-welldef", "--trials", "501"),
+        ("verify", "--suite", "v22-covariance", "--trials", "167"),
+        ("verify", "--suite", "branch-locus", "--primes", "11", "--trials", "84"),
+        ("verify", "--suite", "branch-locus", "--primes", "5,7", "--trials", "42"),
+        ("good-reduction", "--form", str(FIXTURES / "fermat4.txt"), "--trial-bound", "10000001"),
     ],
     ids=[
         "branch-check", "generic", "generic-41", "lattice-enum", "verify-branch-locus",
         "disc-covariance-8", "disc-covariance-huge", "disc-covariance-7x2",
-        "disc-covariance-trials",
+        "disc-covariance-trials", "euler-trials", "cubic-kappa-trials", "action-laws-trials",
+        "v22-welldef-trials", "v22-covariance-trials", "branch-locus-trials",
+        "branch-locus-trials-per-prime", "trial-bound",
     ],
 )
 def test_unbounded_scans_refused_with_budget_error(args):
@@ -163,6 +173,20 @@ def test_scans_within_budget_still_answer():
     proc = run_cli("lattice-enum", "--box", "20")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["box"]["agrees_with_enumeration"]
+
+
+def test_every_suite_has_a_trial_cost():
+    from triforms.cli import VERIFY_TRIAL_MS
+    from triforms.suites import SUITE_NAMES
+
+    assert set(VERIFY_TRIAL_MS) | {"disc-covariance"} == set(SUITE_NAMES)
+
+
+def test_trial_bound_at_its_limit_still_answers():
+    form = str(FIXTURES / "fermat4.txt")
+    proc = run_cli("good-reduction", "--form", form, "--trial-bound", "10000000")
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli("good-reduction", "--form", form).stdout
 
 
 def test_disc_covariance_within_budget_still_answers():
@@ -274,8 +298,13 @@ def test_prime_field_class_refused_at_another_prime(tmp_path, command):
         ("lattice-enum", "--box", "-5"),
         ("verify", "--suite", "euler", "--trials", "0"),
         ("verify", "--suite", "euler", "--trials", "-4"),
+        ("good-reduction", "--form", str(FIXTURES / "fermat4.txt"), "--trial-bound", "0"),
+        ("good-reduction", "--form", str(FIXTURES / "fermat4.txt"), "--trial-bound", "-3"),
     ],
-    ids=["box-0", "box-negative", "trials-0", "trials-negative"],
+    ids=[
+        "box-0", "box-negative", "trials-0", "trials-negative", "trial-bound-0",
+        "trial-bound-negative",
+    ],
 )
 def test_sizes_below_one_are_usage_errors(args):
     proc = run_cli(*args)

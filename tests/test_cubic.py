@@ -58,6 +58,30 @@ def test_weierstrass_anchor():
         assert cubic_J(w) == 1728 * b
 
 
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(5), GF(7), GF(101)], ids=str)
+def test_kappa_relation_and_weierstrass_anchor_in_every_domain(dom, rng):
+    for _ in range(15):
+        f = random_form(dom, rng, 3, 9)
+        i, j = cubic_I(f), cubic_J(f)
+        gap = 4 * i**3 - j**2 - int(KAPPA) * resultant_of_partials(f)
+        assert gap == 0 if dom in (ZZ, QQ) else gap % dom.p == 0
+    for a, b in ((1, 0), (0, 1), (2, 3), (-1, 5)):
+        w = weierstrass_cubic(a, b, dom)
+        assert cubic_I(w) == dom.from_int(-48 * a)
+        assert cubic_J(w) == dom.from_int(1728 * b)
+
+
+def test_integer_invariants_equal_rational_ones(rng):
+    # an integer cubic is evaluated in integers, and its invariants match
+    # those of the same cubic over QQ in value, type and text
+    for bound in (1, 9, 1000):
+        for _ in range(10):
+            f = random_form(ZZ, rng, 3, bound)
+            for invariant in (cubic_I, cubic_J):
+                got, expected = invariant(f), invariant(f.to_rationals())
+                assert (got, type(got), str(got)) == (expected, type(expected), str(expected))
+
+
 def test_hesse_family_vanishing_locus():
     # the degree-4 invariant vanishes on the Fermat and m = 1 members only
     # (vanishing loci are normalization independent)

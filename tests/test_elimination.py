@@ -87,6 +87,43 @@ def test_det_mod_p_macaulay_size():
         assert det_mod_p(rows, p) == det_bareiss([row[:] for row in rows]) % p
 
 
+def _reference_rows(plan, forms, subset=None):
+    """Dense rows of M, or of the submatrix on ``subset``, entry by entry."""
+    ids = range(len(plan.monomials)) if subset is None else subset
+    column = {plan.monomials[i]: j for j, i in enumerate(ids)}
+    rows = []
+    for r in ids:
+        which, mult = plan.assignment[r]
+        row = [0] * len(ids)
+        for exps, coeff in forms[which].terms.items():
+            j = column.get(tuple(m + e for m, e in zip(mult, exps)))
+            if j is not None:
+                row[j] = coeff
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 10007, 2**61 - 1])
+def test_rows_from_terms_match_dense_rows(p):
+    from triforms.elimination import _dense, _det_sparse_mod_p, _plan, _quotient, _sparse_rows
+
+    rng = Random(p % 1000)
+    for d in range(1, 6):
+        plan = _plan(d)
+        for _ in range(3 if d < 5 else 1):
+            forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
+            terms = [list(g.terms.items()) for g in forms]
+            dets = {}
+            for minor, subset in ((True, plan.nonreduced), (False, None)):
+                dense = _reference_rows(plan, forms, subset)
+                rows = _sparse_rows(plan, terms, minor)
+                assert _dense(rows) == dense
+                dets[minor] = det_mod_p(dense, p)
+                assert _det_sparse_mod_p(rows, p) == dets[minor]
+            expected = None if dets[True] == 0 else dets[False] * pow(dets[True], -1, p) % p
+            assert _quotient(plan, forms, p) == expected
+
+
 def test_macaulay_matrix_is_square_at_critical_degree():
     from triforms.elimination import _plan
 
@@ -143,10 +180,10 @@ def test_degenerate_minor_retry_path():
     g1 = parse_poly("-3*x^2 + 2*y^2 + 3*z^2")
     g2 = parse_poly("-2*x*z - 3*z^2")
     g3 = parse_poly("-2*x^2 + 2*x*z - 2*y*z")
-    from triforms.elimination import _coeff_rows, _plan
+    from triforms.elimination import _plan
 
     plan = _plan(2)
-    minor = _coeff_rows(plan, (g1, g2, g3), plan.nonreduced, plan.nonreduced)
+    minor = _reference_rows(plan, (g1, g2, g3), plan.nonreduced)
     assert det_bareiss([row[:] for row in minor]) == 0
     value = macaulay_resultant(g1, g2, g3)
     assert value == 49920

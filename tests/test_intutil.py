@@ -1,12 +1,21 @@
-"""Exact integer roots: big radicands stay exact and finish quickly."""
+"""Exact integer roots, the prime table and trial factoring."""
 
 import time
 from fractions import Fraction
+from math import isqrt, prod
 from random import Random
 
 import pytest
 
-from triforms.intutil import exact_nth_root, integer_nth_root, rational_nth_roots
+from triforms.intutil import (
+    _PrimeTable,
+    exact_nth_root,
+    integer_nth_root,
+    is_prime,
+    primes_up_to,
+    rational_nth_roots,
+    trial_factor,
+)
 
 
 def test_integer_nth_root_is_the_floor():
@@ -36,3 +45,101 @@ def test_root_order_must_be_positive():
         integer_nth_root(8, 0)
     with pytest.raises(ValueError):
         integer_nth_root(-8, 3)
+
+
+# -- the prime table and trial factoring ---------------------------------------
+
+
+def _plain_sieve(bound):
+    flags = bytearray([1]) * (bound + 1)
+    flags[: min(2, bound + 1)] = bytes(min(2, bound + 1))
+    for i in range(2, isqrt(bound) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(flags[i * i :: i]))
+    return [i for i, flag in enumerate(flags) if flag]
+
+
+def _reference_trial_factor(n, bound):
+    """Plain trial division by every integer from 2 on."""
+    n = abs(n)
+    factors = {}
+    d = 2
+    while d <= bound and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if 1 < n <= bound:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    return factors, n
+
+
+def test_prime_table_grows_by_segments():
+    rng = Random(3)
+    table = _PrimeTable()
+    bound = 1
+    for step in [0, 1, 1, 2, 5, 30] + [rng.randint(0, 9000) for _ in range(10)]:
+        bound += step
+        table.extend(bound)
+        assert table.primes == _plain_sieve(bound)
+        for h in range(1, table.HEIGHT + 1):
+            width = table.FAN**h
+            products = [
+                prod(table.primes[k : k + width])
+                for k in range(0, len(table.primes) - width + 1, width)
+            ]
+            assert table.levels[h] == products
+    before = [level[:] for level in table.levels]
+    table.extend(bound // 2)
+    assert table.levels == before and table.limit == bound
+
+
+def test_primes_up_to_is_the_plain_sieve():
+    for bound in (-5, 0, 1, 2, 3, 4, 10, 97, 20000, 1000, 2, 12345):
+        primes = primes_up_to(bound)
+        assert primes == _plain_sieve(max(bound, 0))
+        primes.append(-1)  # a new list: the table is not touched
+        assert primes_up_to(bound) == _plain_sieve(max(bound, 0))
+
+
+def _prime_near(n, step):
+    while not is_prime(n):
+        n += step
+    return n
+
+
+def _trial_cases(bound, rng):
+    below = _prime_near(max(bound, 2), -1) if bound >= 2 else 2
+    above = _prime_near(bound + 1, 1)
+    root = _prime_near(max(isqrt(bound), 2), -1)
+    cases = [1, 2, 3, 4, 12, below, above, below**2, above**2, root**2, root**2 + 2]
+    cases += [root * _prime_near(root + 1, 1), above * _prime_near(above + 1, 1)]
+    cases += [2**40, 3**5 * 7**3 * below, 6 * above * _prime_near(above + 1, 1)]
+    if bound >= 10**4:
+        # every prime up to 10**4: past the first node of 32**2 primes
+        cases += [prod(_plain_sieve(10**4)), prod(p * p for p in _plain_sieve(10**4)[1000:1100])]
+    small = bound >= 10**6
+    for _ in range(25):
+        cases.append(rng.randrange(1, 10**8 if small else 10**rng.randint(1, 12)))
+    for _ in range(5 if small else 15):
+        n = 1
+        for p in rng.sample(_plain_sieve(200), 4):
+            n *= p ** rng.randint(1, 3)
+        cases.append(n * rng.choice((1, below, above)))
+    return cases + [-n for n in cases]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 10, 10**5, 10**6])
+def test_trial_factor_matches_plain_division(bound):
+    rng = Random(bound)
+    for n in _trial_cases(bound, rng):
+        expected = _reference_trial_factor(n, bound)
+        got = trial_factor(n, bound)
+        assert got == expected, n
+        assert list(got[0]) == list(expected[0])  # ascending, like the reference
+
+
+def test_trial_factor_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        trial_factor(0, 100)
