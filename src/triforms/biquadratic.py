@@ -31,8 +31,11 @@ is a singular point of its side's sextic; see ``is_generic_mod_p``);
 ``degenerate_points`` lists such points over F_{p^2}.  Each scan builds the
 class's Gram pair once:
 one side's Gram matrix gives both its fiber conics (entries as integer
-ternary terms, of which only the six distinct ones are evaluated at each
-point) and, through its adjugate, its sextic covariant.
+ternary terms, of which only the six distinct ones are evaluated) and,
+through its adjugate, its sextic covariant.  The branch-locus scan walks
+P^2(F_p) one chart line (x, y, t) at a time: each entry and the sextic
+get their coefficients in t once per line and are evaluated at every t by
+Horner's rule, and the restricted discriminant has a closed form.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .elimination import is_smooth_mod_p
 from .finitefield import (
     QuadExtension,
     evaluate_terms_ext,
-    projective_points_prime,
     ternary_zeros_ext,
 )
 from .matrices import Mat3, adjugate3, block_substitution
@@ -466,46 +468,62 @@ def _scan_sides(cls: Class22):
     ]
 
 
+def _line_values(terms, x: int, y: int, ts, p: int) -> list[int]:
+    """Values mod p of integer ternary terms at the points (x, y, t), t in ts.
+
+    The terms are first collected into coefficients in t, then every t is
+    evaluated by Horner's rule, one pass over ts per power of t.
+    """
+    coeffs: dict[int, int] = {}
+    for (e0, e1, e2), c in terms:
+        coeffs[e2] = coeffs.get(e2, 0) + c * x**e0 * y**e1
+    top = max(coeffs, default=0)
+    values = [coeffs.get(top, 0) % p] * len(ts)
+    for k in range(top - 1, -1, -1):
+        c = coeffs.get(k, 0)
+        values = [(v * t + c) % p for v, t in zip(values, ts)]
+    return values
+
+
 def _eval_fp(terms, point, p: int) -> int:
     """Value mod p of integer ternary terms at an integer point."""
-    a0, a1, a2 = point
-    acc = 0
-    for (e0, e1, e2), c in terms:
-        acc += c * a0**e0 * a1**e1 * a2**e2
-    return acc % p
+    return _line_values(terms, point[0], point[1], (point[2],), p)[0]
+
+
+# the six distinct entries of a symmetric 3x3 matrix
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def _symmetric_conic(gram_terms, value):
     """3x3 scalar Gram of a fiber conic, evaluating only the six distinct entries."""
     m = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            m[i][j] = m[j][i] = value(gram_terms[i][j])
+    for i, j in _UPPER:
+        m[i][j] = m[j][i] = value(gram_terms[i][j])
     return m
 
 
+# the parameters (k, l) of the fiber line a.w = 0 solved for coordinate v
+_LINE_PARAMS = ((1, 2), (0, 2), (0, 1))
+
+
 def _restricted_disc(m, a, p: int):
-    """(discriminant, degenerate) of the conic m restricted to the line a.w = 0."""
-    pivot = max(i for i in range(3) if a[i])
-    params = [i for i in range(3) if i != pivot]
-    inv = pow(a[pivot], p - 2, p)
-    # w_{param k} = e_k - (a_k / a_pivot) e_pivot
-    vecs = []
-    for k in params:
-        vec = [0, 0, 0]
-        vec[k] = 1
-        vec[pivot] = (-a[k] * inv) % p
-        vecs.append(vec)
+    """(discriminant, degenerate) of the conic m restricted to the line a.w = 0.
 
-    def form(u, v):
-        return sum(u[i] * m[i][j] * v[j] for i in range(3) for j in range(3)) % p
-
-    alpha = form(vecs[0], vecs[0])
-    gamma = form(vecs[1], vecs[1])
-    beta = 2 * form(vecs[0], vecs[1]) % p
-    disc = (beta * beta - 4 * alpha * gamma) % p
-    degenerate = alpha == 0 and beta == 0 and gamma == 0
-    return disc, degenerate
+    The line is solved for its largest-index nonzero coordinate a_v and
+    spanned by w_k = e_k + r_k e_v, w_l = e_l + r_l e_v (k < l, r = -a/a_v);
+    on s w_k + t w_l the conic is alpha s^2 + beta s t + gamma t^2 with
+    alpha = m(w_k, w_k), beta = 2 m(w_k, w_l), gamma = m(w_l, w_l), and the
+    discriminant beta^2 - 4 alpha gamma = 4 (m(w_k, w_l)^2 - alpha gamma).
+    """
+    v = 2 if a[2] else 1 if a[1] else 0
+    k, l = _LINE_PARAMS[v]
+    u = pow(a[v], p - 2, p)
+    rk, rl = -a[k] * u, -a[l] * u
+    mv, mvv = m[v], m[v][v]
+    alpha = (m[k][k] + 2 * rk * mv[k] + rk * rk * mvv) % p
+    gamma = (m[l][l] + 2 * rl * mv[l] + rl * rl * mvv) % p
+    q = (m[k][l] + rl * mv[k] + rk * mv[l] + rk * rl * mvv) % p
+    return 4 * (q * q - alpha * gamma) % p, not (alpha or q or gamma)
 
 
 def tangency_test(f, point, side: str = "x"):
@@ -567,21 +585,28 @@ def branch_locus_report(f) -> BranchLocusReport:
     p = field.p
     counterexamples = []
     checked = 0
+    # P^2(F_p) in the order of projective_points_prime, line by line:
+    # (1, a, t) for each a, then (0, 1, t), then (0, 0, 1)
+    lines = [(1, a, range(p)) for a in range(p)] + [(0, 1, range(p)), (0, 0, (1,))]
     for side, gram_terms, sextic in _scan_sides(cls):
+        entry_terms = [gram_terms[i][j] for i, j in _UPPER]
         sextic_terms = list(sextic.terms.items())
-        for point in projective_points_prime(p):
-            m = _symmetric_conic(gram_terms, lambda t: _eval_fp(t, point, p))
-            disc, degenerate = _restricted_disc(m, point, p)
-            if degenerate:
-                raise DegeneratePointError(
-                    f"fiber over {point} on the {side}-side contains its whole line",
-                    point=point,
-                    side=side,
-                )
-            cov = _eval_fp(sextic_terms, point, p)
-            if (disc == 0) != (cov == 0):
-                counterexamples.append((side, point, disc, cov))
-            checked += 1
+        for x, y, ts in lines:
+            entries = [_line_values(terms, x, y, ts, p) for terms in entry_terms]
+            covs = _line_values(sextic_terms, x, y, ts, p)
+            for t, (m00, m01, m02, m11, m12, m22), cov in zip(ts, zip(*entries), covs):
+                point = (x, y, t)
+                m = ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22))
+                disc, degenerate = _restricted_disc(m, point, p)
+                if degenerate:
+                    raise DegeneratePointError(
+                        f"fiber over {point} on the {side}-side contains its whole line",
+                        point=point,
+                        side=side,
+                    )
+                if (disc == 0) != (cov == 0):
+                    counterexamples.append((side, point, disc, cov))
+                checked += 1
     pairing = {
         "x_projection_branch": "sextic_covariant_x",
         "z_projection_branch": "sextic_covariant_z",
@@ -668,12 +693,10 @@ def is_generic_mod_p(f, p: int) -> bool:
     degenerate point over every extension of F_p is thus a singular point
     of its side's sextic, and the verdict is exact.
 
-    At p = 3 most classes, integer ones included, are refused with
-    ConstantSupportError by design: the raw discriminant of a degree-6
-    ternary form vanishes identically mod 3, so the smoothness test of the
-    reduced sextic has no certificate, and degree 6 lies above
-    NORMALIZATION_MAX_DEGREE, so no exact integer fallback applies either.
-    The refusal replaces a verdict that could be wrong.
+    Smoothness is the rank certificate of ``is_smooth_mod_p``, which answers
+    at every odd prime, p = 3 included (there the raw discriminant of a
+    sextic vanishes identically, and the sextic joins its partials among
+    the generators), and scans no points, so the cost hardly depends on p.
     """
     if p == 2:
         raise PrimeError("genericity test needs odd characteristic")

@@ -18,16 +18,17 @@ from .domains import GF
 from .errors import BudgetExceededError, ParseError, TriformsError
 from .matrices import Mat3, act_ternary, mat3_from_json
 from .poly import MultiPoly, parse_poly, poly_from_json
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .suites import DRAWS_PER_TRIAL, SUITE_NAMES, SuiteConfig, run_suite
 
 
 # Work bounds of the scanning commands.  Each was sized from its measured
 # unit cost on a 2-core x86-64 box running CPython 3.11 (~28 us per
-# branch-check point of P^2(F_p), ~1.6 us per generic point of P^2(F_{p^2}),
-# ~18 us per lattice-enum grid cell) so that an accepted input finishes in
-# about 10 s: p <= 353 for branch-check, p <= 37 for generic, box <= 81.
+# branch-check point of P^2(F_p), ~18 us per lattice-enum grid cell) so that
+# an accepted input finishes in about 10 s: p <= 353 for branch-check,
+# box <= 81.  A branch-check point now costs ~2.3 us (0.6 s at p = 353); the
+# bound stays as it was.  generic has no bound: it scans no points, and took
+# 5-31 ms per class from p = 41 up to p = 2**127 - 1.
 BRANCH_CHECK_MAX_POINTS = 250_000
-GENERIC_MAX_POINTS = 4_000_000
 LATTICE_BOX_MAX_CELLS = 430_000
 
 # Largest good-reduction --trial-bound.  The primes up to the bound stay in
@@ -41,9 +42,11 @@ TRIAL_BOUND_MAX = 10**7
 # and are estimated at this cost too); a trial costs ~6x more per degree,
 # one at degree 8 took 17 s, over the bound on its own, so higher degrees
 # are refused outright.  Every other suite is timed over ZZ, QQ and GF(101),
-# at the slowest.  A branch-locus trial is charged once per prime, at its
-# cost at p = 37, the largest prime it accepts; lattice-enum runs once
-# whatever --trials is.
+# at the slowest.  A branch-locus trial is charged once per prime: for the
+# DRAWS_PER_TRIAL classes it may draw (drawing one and testing it for
+# genericity took at most 5 ms at every prime from 3 to 353), plus
+# BRANCH_POINT_US per point of its scan (~2.3 us measured, p = 37 to 353).
+# lattice-enum runs once whatever --trials is.
 DISC_TRIAL_MS = {2: 1, 3: 3, 4: 15, 5: 150, 6: 900, 7: 9000}
 VERIFY_TRIAL_MS = {
     "euler": 1,
@@ -51,9 +54,10 @@ VERIFY_TRIAL_MS = {
     "action-laws": 8,
     "v22-welldef": 20,
     "v22-covariance": 60,
-    "branch-locus": 120,
+    "branch-locus": 5 * DRAWS_PER_TRIAL,
     "lattice-enum": 0,
 }
+BRANCH_POINT_US = 3
 VERIFY_MAX_MS = 10_000
 
 
@@ -207,7 +211,6 @@ def _cmd_branch_check(args) -> int:
 
 
 def _cmd_generic(args) -> int:
-    _require_budget("generic", _plane_points(args.mod**2), GENERIC_MAX_POINTS, "points")
     f = _read_form(args.form)
     generic = biquadratic.is_generic_mod_p(biquadratic.canonicalize(f), args.mod)
     _emit({"prime": args.mod, "generic": generic})
@@ -232,15 +235,18 @@ def _cmd_lattice_enum(args) -> int:
 def _cmd_verify(args) -> int:
     primes = tuple(int(p) for p in args.primes.split(",") if p.strip())
     if args.suite == "branch-locus":
-        # each trial runs the genericity scan of the generic command
+        # each trial runs the scan of the branch-check command
         for p in primes:
-            _require_budget("verify", _plane_points(p**2), GENERIC_MAX_POINTS, "points")
+            _require_budget("verify", _plane_points(p), BRANCH_CHECK_MAX_POINTS, "points")
     if args.suite == "disc-covariance":
         # degrees below 2 are refused by the suite itself, with kind "degree";
         # a trial above the table's degrees is over the bound on its own
         per_trial = DISC_TRIAL_MS.get(args.degree, VERIFY_MAX_MS + 1) if args.degree >= 2 else 0
     elif args.suite == "branch-locus":
-        per_trial = VERIFY_TRIAL_MS[args.suite] * len(primes)
+        per_trial = sum(
+            VERIFY_TRIAL_MS[args.suite] + -(-_plane_points(p) * BRANCH_POINT_US // 1000)
+            for p in primes
+        )
     else:
         per_trial = VERIFY_TRIAL_MS[args.suite]
     _require_budget("verify", args.trials * per_trial, VERIFY_MAX_MS, "ms of estimated work")

@@ -26,17 +26,28 @@ The rows of M and M' are built straight from the forms' terms, as
 fraction-free Bareiss over the integers, on those rows made dense, and,
 over prime fields, row elimination on the same rows packed into one Python
 integer each, from coefficients reduced mod p once per form.
+
+Smoothness mod p needs no value, only whether the partials (with the form
+itself when p divides the degree) have a common zero over F_p-bar, and
+that is a rank certificate: forms with no common zero span every form of
+degree d1 + d2 + d3 - 2 (Macaulay).  The same packed elimination decides
+it, with each row a shift of one packed form; it has no degenerate case,
+so no shear retry, content witness or point scan is involved.  Over GF(p)
+it also settles the resultant when every retry degenerates: forms with a
+common zero have resultant 0.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from random import Random
 
-from .domains import GF, QQ, ZZ, PrimeField
+from .domains import QQ, ZZ, PrimeField
 from .errors import (
     ConstantSupportError,
     DegreeError,
@@ -94,49 +105,102 @@ def det_mod_p(rows: list[list[int]], p: int) -> int:
 
 def _det_sparse_mod_p(rows: list[list[tuple[int, int]]], p: int) -> int:
     """Determinant over F_p of a square matrix given row by row as
-    (column, entry) pairs, each entry in [0, p), by row elimination on rows
-    packed into integers.
-
-    Each row becomes one nonnegative integer with column j in bits
-    [j*w, (j+1)*w), w = (n*p*p).bit_length().  After step k every remaining
-    row is shifted right by w, so the pivot column is always the low field.
-    The pivot row is reduced to [0, p) and scaled to lead 1 once per step;
-    every other row with lead l != 0 becomes (row >> w) + (p - l) * pivot,
-    which adds less than p*p to each field.  A row takes at most n - 1 such
-    updates on top of an entry below p, so every field stays below n*p*p
-    < 2**w and no carry crosses a field.  Pivot choice (first row whose
-    lead is nonzero mod p) and the sign of each swap are those of plain
-    elimination.
-    """
+    (column, entry) pairs, each entry in [0, p), by ``_eliminate_mod_p`` on
+    the rows packed into integers."""
     n = len(rows)
-    w = (n * p * p).bit_length()
-    mask = (1 << w) - 1
+    w = _field_width(n, p)
     packed = [sum(a << (j * w) for j, a in row) for row in rows]
+    return _eliminate_mod_p(packed, p, w, [1] * n)
+
+
+# Field widths at which a packed row is read as a machine array.
+_ARRAY_CODES = {8 * array(code).itemsize: code for code in "HIQ"}
+
+
+def _field_width(steps: int, p: int) -> int:
+    """Bits per field of a packed row that takes up to ``steps`` updates.
+
+    A field starts below p and each update adds less than p*p, so it stays
+    below steps*p*p.  A width up to 32 bits is rounded up to 16 or 32, so
+    the pivot row is scaled through an array; rounding a wider one up to 64
+    bits made the rows' arithmetic slower than the array saves.
+    """
+    w = (max(steps, 1) * p * p).bit_length()
+    return next((wide for wide in (16, 32) if w <= wide), w)
+
+
+def _scaled(row: int, inv: int, p: int, w: int) -> int:
+    """The packed row with each field reduced mod p and multiplied by inv."""
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        mask = (1 << w) - 1
+        out, shift = 0, 0
+        while row:
+            a = row & mask
+            if a:
+                out |= (a * inv % p) << shift
+            row >>= w
+            shift += w
+        return out
+    # bytes written and read in native order make each array item one field
+    size = -(-row.bit_length() // w) * (w // 8)
+    fields = array(code, [a * inv % p for a in array(code, row.to_bytes(size, sys.byteorder))])
+    return int.from_bytes(fields.tobytes(), sys.byteorder)
+
+
+def _eliminate_mod_p(rows: list[int], p: int, w: int, gaps, spare=()) -> int:
+    """Row elimination over F_p on rows packed into integers, w bits a field
+    (the list ``rows`` is consumed).
+
+    Column k is the low field of every row at step k, and ``gaps[k]`` is the
+    number of fields from it to the next column (fields in between are holes,
+    zero in every row).  The pivot is the first row whose lead is nonzero
+    mod p; it is reduced and scaled to lead 1 once per step, and every later
+    row with lead l != 0 becomes (row >> gap) + (p - l) * pivot.  Returns
+    the product of the pivots with the sign of the row swaps (the
+    determinant, for a square matrix), or 0 when a column has no pivot.
+
+    ``spare`` rows are used only when no row of ``rows`` has a pivot: each
+    is then brought up to date with the pivots of the steps it missed, one
+    at a time until one has a nonzero lead.  Every row takes at most
+    len(gaps) updates, which ``_field_width`` allows for.
+    """
+    mask = (1 << w) - 1
+    spare = [[r, 0] for r in spare]  # each with the step it is current at
+    history = []  # (shift, scaled pivot) of each step, while spare rows wait
     det = 1
-    for k in range(n):
-        for i in range(k, n):
-            lead = (packed[i] & mask) % p
+    for k, gap in enumerate(gaps):
+        for i in range(k, len(rows)):
+            lead = (rows[i] & mask) % p
             if lead:
                 break
         else:
-            return 0
+            for entry in spare:
+                r = entry[0]
+                for shift, pivot in history[entry[1] : k]:
+                    lead = (r & mask) % p
+                    r = (r >> shift) + (p - lead) * pivot if lead else r >> shift
+                entry[:] = r, k
+                lead = (r & mask) % p
+                if lead:
+                    spare.remove(entry)
+                    rows.append(r)
+                    i = len(rows) - 1
+                    break
+            else:
+                return 0
         if i != k:
-            packed[k], packed[i] = packed[i], packed[k]
+            rows[k], rows[i] = rows[i], rows[k]
             det = -det
         det = det * lead % p
-        inv = pow(lead, p - 2, p)
-        # the pivot row past its lead, each field reduced and scaled by 1/lead
-        rest, pivot, shift = packed[k] >> w, 0, 0
-        while rest:
-            a = rest & mask
-            if a:
-                pivot |= (a * inv % p) << shift
-            rest >>= w
-            shift += w
-        for i in range(k + 1, n):
-            r = packed[i]
+        shift = gap * w
+        pivot = _scaled(rows[k] >> shift, pow(lead, p - 2, p), p, w)
+        for i in range(k + 1, len(rows)):
+            r = rows[i]
             lead = (r & mask) % p
-            packed[i] = (r >> w) + (p - lead) * pivot if lead else r >> w
+            rows[i] = (r >> shift) + (p - lead) * pivot if lead else r >> shift
+        if spare:
+            history.append((shift, pivot))
     return det % p
 
 
@@ -279,12 +343,20 @@ def _sheared(forms):
 
 
 def _resultant_exact(forms, p: int | None):
-    """The Macaulay quotient over ZZ (p None) or GF(p), with the degenerate path."""
-    plan = _plan(forms[0].homogeneous_degree())
+    """The Macaulay quotient over ZZ (p None) or GF(p), with the degenerate path.
+
+    Over GF(p), when every retry degenerates, forms with a common zero have
+    resultant 0 by the rank certificate of ``_no_common_zero_mod_p``.
+    """
+    d = forms[0].homogeneous_degree()
+    plan = _plan(d)
     for moved in _sheared(forms):
         quotient = _quotient(plan, moved, p)
         if quotient is not None:
             return quotient
+    if p is not None:
+        if not _no_common_zero_mod_p([(d, list(g.terms.items())) for g in forms], p):
+            return 0
     raise MacaulayDegenerateError(
         "reduced Macaulay minor vanished for every retry; resultant undetermined"
     )
@@ -371,7 +443,6 @@ def _resultant_lifting_mod_p(forms):
 
 
 NORMALIZATION_SEED = 74025521
-NORMALIZATION_MAX_DEGREE = 4
 
 # Per-degree content of the raw discriminant polynomial, derived by
 # ``derive_normalization_constant`` (gcd of raw values over a seeded sample;
@@ -495,100 +566,95 @@ def discriminant(f: MultiPoly, normalize: bool = True) -> DiscriminantReport:
 
 # -- smoothness over prime fields ----------------------------------------------
 
-_WITNESS_CACHE: dict[tuple[int, int], bool] = {}
 
+def _no_common_zero_mod_p(forms, p: int) -> bool:
+    """Whether ternary forms over F_p have no common zero in P^2(F_p-bar).
 
-def _content_coprime_witness(n: int, p: int) -> bool:
-    """True when some degree-n form over F_p has nonzero raw discriminant.
+    ``forms`` holds (degree, terms) pairs, terms as ((a, b, c), coefficient
+    in [0, p)) pairs; there are at least three, and the first three have
+    the largest degrees d1, d2, d3.  Macaulay's theorem (Lazard, EUROCAL
+    1983; Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3): the forms
+    have no common zero exactly when their multiples span every form of
+    degree D = d1 + d2 + d3 - 2.  Rank over F_p is rank over F_p-bar, so
+    the test is the full column rank mod p of that Macaulay matrix.
 
-    One nonzero value certifies that p does not divide the content of the
-    raw discriminant polynomial; exhausting the attempts without a witness
-    leaves the verdict at this prime unreliable.
+    Column (a, b, c) sits in field b*(D + 1) + c of a packed row, so the
+    multiple of a form by x^i y^j z^k is the packed form shifted left by
+    j*(D + 1) + k fields; fields with b + c > D are holes.  The rows of the
+    classical square matrix (the row of a monomial m is m / v^d_v times the
+    form of the first variable v with m_v >= d_v) are eliminated first; the
+    other multiples are spare rows, brought in only when a column has no
+    pivot (for instance when the extraneous factor det M' vanishes).
     """
-    key = (n, p)
-    if key in _WITNESS_CACHE:
-        return _WITNESS_CACHE[key]
-    field = GF(p)
-    candidates = []
-    fermat = {(n, 0, 0): 1, (0, n, 0): 1, (0, 0, n): 1}
-    candidates.append(fermat)
-    if n >= 3:
-        candidates.append({(n - 1, 1, 0): 1, (0, n - 1, 1): 1, (1, 0, n - 1): 1})
-    rng = Random(900001 + 31 * n + p)
-    monos = _monomials(n)
-    for _ in range(12):
-        candidates.append({m: rng.randrange(p) for m in monos})
-    found = False
-    for terms in candidates:
-        g = MultiPoly(field, ("x", "y", "z"), terms)
-        if g.is_zero():
-            continue
-        partials = [g.partial_derivative(v) for v in g.vars]
-        if any(q.is_zero() for q in partials):
-            continue
-        try:
-            if macaulay_resultant(*partials) != 0:
-                found = True
-                break
-        except MacaulayDegenerateError:
-            continue
-    _WITNESS_CACHE[key] = found
-    return found
+    degrees = [degree for degree, _ in forms]
+    top = degrees[:3]
+    D = sum(top) - 2
+    stride = D + 1
+    columns = (D + 1) * (D + 2) // 2
+    w = _field_width(columns, p)
+    packed = [
+        sum(coeff << ((b * stride + c) * w) for (_, b, c), coeff in terms) for _, terms in forms
+    ]
+
+    def multiple(g, b, c):
+        """The row of y^b z^c x^(D - degree - b - c) times form g."""
+        return packed[g] << ((b * stride + c) * w)
+
+    rows, classical, gaps = [], set(), []
+    for b in range(D + 1):
+        for c in range(D + 1 - b):
+            m = (D - b - c, b, c)
+            v = next(v for v in range(3) if m[v] >= top[v])
+            key = (v, b - top[1] * (v == 1), c - top[2] * (v == 2))
+            classical.add(key)
+            rows.append(multiple(*key))
+            gaps.append(1 if c < D - b else b + 1)
+    spare = [
+        multiple(g, b, c)
+        for g, degree in enumerate(degrees)
+        for b in range(D - degree + 1)
+        for c in range(D - degree - b + 1)
+        if (g, b, c) not in classical
+    ]
+    return _eliminate_mod_p(rows, p, w, gaps, spare) != 0
 
 
 def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:
     """Whether the reduction of f cuts a smooth plane curve over F_p-bar.
 
-    The verdict is the nonvanishing of the primitive discriminant of the
-    reduction.  A nonzero mod-p resultant of the partials certifies
-    smoothness directly.  A zero one certifies singularity once p is known
-    not to divide the content of the raw discriminant polynomial (a nonzero
-    witness value establishes that).  At a content prime the verdict falls
-    back, for integer input of degree within the cached-constant range, to
-    reducing the exact normalized integer discriminant; otherwise a
-    ConstantSupportError is raised instead of guessing.
+    f is an integer form or a form over GF(p), of degree n >= 2.  The
+    reduction is smooth exactly when it and its partials have no common
+    zero over F_p-bar.  When p does not divide n, Euler's formula
+    n f = sum v df/dv puts f in the partials' span, so the generators are
+    the partials; when p divides n, f joins them.  A zero partial is
+    dropped; fewer than three generators always share a zero in the plane.
+    The verdict is the rank certificate of ``_no_common_zero_mod_p``.  It
+    agrees with the nonvanishing mod p of the primitive discriminant
+    (Demazure, "Resultant, discriminant", Enseign. Math. 2012), and for p
+    not dividing n with that of the raw one, the resultant of the partials.
     """
     if f.domain == ZZ:
-        fint = f
         fbar = f.reduce_mod_p(p)
     elif isinstance(f.domain, PrimeField) and f.domain.p == p:
-        fint = None
         fbar = f
     else:
         raise DomainMismatchError("is_smooth_mod_p expects an integer form")
+    if len(fbar.vars) != 3:
+        raise VariableSetError("smoothness is defined for ternary forms")
     if fbar.is_zero():
         raise ZeroInputError(f"form vanishes identically mod {p}")
     n = fbar.homogeneous_degree()
     if n < 2:
         raise DegreeError("smoothness test needs degree >= 2")
-    partials = [fbar.partial_derivative(v) for v in fbar.vars]
-    nonzero = [g for g in partials if not g.is_zero()]
-    if not nonzero:
-        # the Jacobian vanishes identically on a nonempty curve
+    generators = [(n, fbar)] if n % p == 0 else []
+    for v in fbar.vars:
+        g = fbar.partial_derivative(v)
+        if not g.is_zero():
+            generators.append((n - 1, g))
+    if len(generators) < 3:
         return False
-    if len(nonzero) == 3:
-        try:
-            raw = _resultant_lifting_mod_p(partials)
-        except MacaulayDegenerateError:
-            # too degenerate for the quotient on every retry: certify
-            # singularity by exhibiting a singular point instead
-            if singular_points_fp2(fbar, p):
-                return False
-            raise
-        if raw != 0:
-            return True
-    if _content_coprime_witness(n, p):
-        return False
-    if fint is not None and n <= NORMALIZATION_MAX_DEGREE:
-        constant, _meta = normalization_constant(n)
-        raw_int = resultant_of_partials(fint)
-        quotient, remainder = divmod(raw_int, constant)
-        if remainder:
-            raise ArithmeticError("cached normalization constant is an overestimate")
-        return quotient % p != 0
-    raise ConstantSupportError(
-        f"raw discriminant vanishes identically over GF({p}) at degree {n}; "
-        "smoothness verdict would be unreliable"
+    return _no_common_zero_mod_p(
+        [(degree, list(g.terms.items())) for degree, g in generators], p
     )
 
 
@@ -600,9 +666,10 @@ def _lift(g: MultiPoly) -> MultiPoly:
 def singular_points_fp2(fbar: MultiPoly, p: int) -> list:
     """Singular points of the curve over P^2(F_{p^2}), as pairs a + b t.
 
-    Sound singularity certificate for inputs too degenerate for the
-    Macaulay quotient (e.g. partials with a common factor).  Zeros of the
-    form are enumerated first; the partials are checked only there.
+    An exhaustive search, about p^4 Horner steps: zeros of the form are
+    enumerated first; the partials are checked only there.  A point found
+    certifies singularity; none found leaves the larger extensions open,
+    which ``is_smooth_mod_p`` decides without a scan.
     """
     ext = QuadExtension(p)
     zeros = ternary_zeros_ext(

@@ -30,6 +30,10 @@ SUITE_NAMES = (
     "action-laws",
 )
 
+# branch-locus draws classes until `trials` of them are generic, and stops
+# after DRAWS_PER_TRIAL draws per requested trial.
+DRAWS_PER_TRIAL = 40
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -217,7 +221,7 @@ def suite_branch_locus(cfg: SuiteConfig) -> dict:
         field = GF(p)
         found = 0
         attempts = 0
-        while found < cfg.trials and attempts < 40 * cfg.trials:
+        while found < cfg.trials and attempts < DRAWS_PER_TRIAL * cfg.trials:
             attempts += 1
             cls = biquadratic.canonicalize(random_form22(field, rng))
             try:

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from triforms import biquadratic
+from triforms import biquadratic, elimination
 from triforms.biquadratic import (
     X_BLOCK,
     Z_BLOCK,
@@ -29,7 +29,6 @@ from triforms.biquadratic import (
 from triforms.domains import GF, QQ, ZZ
 from triforms.elimination import singular_points_fp2
 from triforms.errors import (
-    ConstantSupportError,
     DegreeError,
     DegeneratePointError,
     DomainMismatchError,
@@ -416,6 +415,100 @@ def test_branch_locus_report_matches_pointwise_tangency(rng, p):
     assert outcomes == {"degenerate", "report"}
 
 
+def _reference_eval_fp(terms, point, p):
+    a0, a1, a2 = point
+    return sum(c * a0**e0 * a1**e1 * a2**e2 for (e0, e1, e2), c in terms) % p
+
+
+def _reference_restricted_disc(m, a, p):
+    """The restricted discriminant by explicit line vectors, point by point."""
+    pivot = max(i for i in range(3) if a[i])
+    inv = pow(a[pivot], p - 2, p)
+    vecs = []
+    for k in (i for i in range(3) if i != pivot):
+        vec = [0, 0, 0]
+        vec[k] = 1
+        vec[pivot] = (-a[k] * inv) % p
+        vecs.append(vec)
+
+    def form(u, v):
+        return sum(u[i] * m[i][j] * v[j] for i in range(3) for j in range(3)) % p
+
+    alpha, gamma = form(vecs[0], vecs[0]), form(vecs[1], vecs[1])
+    beta = 2 * form(vecs[0], vecs[1]) % p
+    return (beta * beta - 4 * alpha * gamma) % p, alpha == 0 and beta == 0 and gamma == 0
+
+
+def _reference_branch_locus(cls, p):
+    """branch_locus_report's outcome by evaluating every entry at every point."""
+    counterexamples = []
+    checked = 0
+    for side, gram_terms, sextic in biquadratic._scan_sides(cls):
+        sextic_terms = list(sextic.terms.items())
+        for point in projective_points_prime(p):
+            m = [[_reference_eval_fp(gram_terms[i][j], point, p) for j in range(3)]
+                 for i in range(3)]
+            disc, degenerate = _reference_restricted_disc(m, point, p)
+            if degenerate:
+                return ("degenerate", side, point)
+            cov = _reference_eval_fp(sextic_terms, point, p)
+            if (disc == 0) != (cov == 0):
+                counterexamples.append((side, point, disc, cov))
+            checked += 1
+    return (checked, tuple(counterexamples))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_branch_locus_report_matches_per_point_reference(p):
+    rng = Random(7000 + p)
+    outcomes = set()
+    for trial in range(12):
+        density = (1.0, 0.5, 0.25)[trial % 3]
+        terms = {m: rng.randrange(p) for m in _MONOMIALS_22 if rng.random() < density}
+        cls = canonicalize(MultiPoly(GF(p), VARS_BIQUAD, terms))
+        if cls.is_zero():
+            continue
+        expected = _reference_branch_locus(cls, p)
+        try:
+            report = branch_locus_report(cls)
+        except DegeneratePointError as exc:
+            assert expected == ("degenerate", exc.side, exc.point)
+            outcomes.add("degenerate")
+            continue
+        assert (report.points_checked, report.counterexamples) == expected
+        outcomes.add("report")
+    assert outcomes == {"degenerate", "report"}
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_line_values_match_pointwise_evaluation(p):
+    # integer coefficients beyond [0, p), and term sets free of t, included
+    rng = Random(7200 + p)
+    for degree in (0, 2, 6):
+        monos = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+        for no_t in (False, True):
+            terms = [(e, rng.randint(-3 * p, 3 * p)) for e in monos
+                     if rng.random() < 0.6 and not (no_t and e[2])]
+            for x, y in ((1, rng.randrange(p)), (0, 1), (0, 0), (2, 3)):
+                expected = [_reference_eval_fp(terms, (x, y, t), p) for t in range(p)]
+                assert biquadratic._line_values(terms, x, y, range(p), p) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_restricted_disc_closed_form_matches_line_vectors(p):
+    # counterexample reports carry the discriminant value itself, so the
+    # closed form must agree with the explicit one value for value
+    rng = Random(7100 + p)
+    for _ in range(6):
+        m = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                m[i][j] = m[j][i] = rng.randrange(p) if rng.random() < 0.7 else 0
+        for point in projective_points_prime(p):
+            expected = _reference_restricted_disc(m, point, p)
+            assert biquadratic._restricted_disc(m, point, p) == expected
+
+
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_branch_locus_report_builds_grams_once_per_side(rng, monkeypatch, p):
     calls = []
@@ -621,13 +714,13 @@ def test_generic_never_scans_fibers(monkeypatch, p):
     def forbidden(*args, **kwargs):
         raise AssertionError("is_generic_mod_p scanned a fiber or a zero set")
 
-    # is_smooth_mod_p keeps its own singular-point fallback for sextics too
-    # degenerate for every Macaulay retry (some sparse classes here), so only
-    # the fiber scan's names in biquadratic are forbidden
+    # smoothness is a rank certificate, so no point is scanned on any path
     classes = list(_lemma_classes(p, Random(6100 + p)))
     monkeypatch.setattr(biquadratic, "ternary_zeros_ext", forbidden)
     monkeypatch.setattr(biquadratic, "_degenerate_scan_side", forbidden)
     monkeypatch.setattr(biquadratic, "QuadExtension", forbidden)
+    monkeypatch.setattr(elimination, "singular_points_fp2", forbidden)
+    monkeypatch.setattr(elimination, "ternary_zeros_ext", forbidden)
     verdicts = [is_generic_mod_p(cls, p) for _, cls in classes]
     assert True in verdicts and False in verdicts
 
@@ -654,16 +747,16 @@ def test_scan_sides_match_public_covariants_and_evaluation(rng, p):
                         assert value == entry.evaluate(point)
 
 
-def test_generic_at_3_answers_or_refuses_constant_support(rng):
-    # the raw discriminant of a sextic vanishes identically mod 3, so most
-    # classes are refused there; any other error would be a defect
-    refused = 0
+def test_generic_at_3_answers(rng):
+    # the raw discriminant of a sextic vanishes identically mod 3, and the
+    # rank certificate, with the sextic among its generators, answers anyway
+    verdicts = set()
     for dom in (GF(3), ZZ):
         for _ in range(8):
             cls = canonicalize(random_form22(dom, rng, 5))
-            try:
-                assert is_generic_mod_p(cls, 3) in (True, False)
-            except ConstantSupportError as exc:
-                assert exc.kind == "constant-support"
-                refused += 1
-    assert refused
+            generic = is_generic_mod_p(cls, 3)
+            if generic:
+                for _, _, sextic in biquadratic._scan_sides(biquadratic._reduced(cls, 3)):
+                    assert singular_points_fp2(sextic, 3) == []
+            verdicts.add(generic)
+    assert verdicts == {True, False}

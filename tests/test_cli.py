@@ -133,8 +133,6 @@ def test_branch_check_degenerate_class_errors():
     "args",
     [
         ("branch-check", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "100003"),
-        ("generic", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "100003"),
-        ("generic", "--form", str(FIXTURES / "diag22_same.txt"), "--mod", "41"),
         ("lattice-enum", "--box", "400"),
         ("verify", "--suite", "branch-locus", "--primes", "11,100003"),
         ("verify", "--suite", "disc-covariance", "--degree", "8", "--trials", "1"),
@@ -151,7 +149,7 @@ def test_branch_check_degenerate_class_errors():
         ("good-reduction", "--form", str(FIXTURES / "fermat4.txt"), "--trial-bound", "10000001"),
     ],
     ids=[
-        "branch-check", "generic", "generic-41", "lattice-enum", "verify-branch-locus",
+        "branch-check", "lattice-enum", "verify-branch-locus",
         "disc-covariance-8", "disc-covariance-huge", "disc-covariance-7x2",
         "disc-covariance-trials", "euler-trials", "cubic-kappa-trials", "action-laws-trials",
         "v22-welldef-trials", "v22-covariance-trials", "branch-locus-trials",
@@ -164,6 +162,24 @@ def test_unbounded_scans_refused_with_budget_error(args):
     assert time.perf_counter() - start < 5
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["kind"] == "budget"
+
+
+GENERIC_22 = (
+    "x1^2*z3^2 - x1*x2*z1*z2 - x1*x2*z2^2 + x1*x3*z2^2 - x2^2*z1*z3 + 2*x3^2*z1^2 - x3^2*z2^2"
+)
+
+
+@pytest.mark.parametrize("prime", ["41", "100003"], ids=["generic-41", "generic"])
+def test_generic_answers_at_any_prime(prime, tmp_path):
+    # genericity is a rank certificate, so it scans no points and has no bound
+    form = tmp_path / "form.txt"
+    form.write_text(GENERIC_22 + "\n")
+    for path, generic in ((form, True), (FIXTURES / "diag22_same.txt", False)):
+        start = time.perf_counter()
+        proc = run_cli("generic", "--form", str(path), "--mod", prime)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"generic": generic, "prime": int(prime)}
 
 
 def test_scans_within_budget_still_answer():
@@ -312,10 +328,26 @@ def test_sizes_below_one_are_usage_errors(args):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("prime", ["2", "3"])
+@pytest.mark.parametrize("prime", ["2"])
 def test_verify_with_no_trials_run_is_not_a_pass(prime):
     proc = run_cli("verify", "--suite", "branch-locus", "--primes", prime, "--trials", "2")
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert report["trials"] == 0
     assert report["all_pass"] is False
+
+
+def test_verify_branch_locus_runs_trials_at_3():
+    proc = run_cli("verify", "--suite", "branch-locus", "--primes", "3", "--trials", "2")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["trials"] == 2
+    assert report["all_pass"] is True
+
+
+def test_disc_mod_2_of_coincident_partials_is_zero(tmp_path):
+    form = tmp_path / "form.txt"
+    form.write_text("x^3 + x^2*y + x*z^2 + y^2*z + y*z^2\n")
+    proc = run_cli("disc", "--form", str(form), "--mod", "2", "--raw")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["raw"] == "0"

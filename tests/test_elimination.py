@@ -87,6 +87,23 @@ def test_det_mod_p_macaulay_size():
         assert det_mod_p(rows, p) == det_bareiss([row[:] for row in rows]) % p
 
 
+@pytest.mark.parametrize("w", [16, 32, 64, 37])
+def test_scaled_pivot_reduces_every_field(w):
+    # widths 16, 32 and 64 go through a machine array, others field by field
+    from triforms.elimination import _scaled
+
+    rng = Random(w)
+    for p in (3, 251, 65521):
+        if p * p > 2**w:
+            continue
+        count = rng.randrange(1, 60)
+        fields = [rng.randrange(2**w) if rng.random() < 0.8 else 0 for _ in range(count)]
+        row = sum(a << (j * w) for j, a in enumerate(fields))
+        inv = rng.randrange(1, p)
+        expected = sum((a * inv % p) << (j * w) for j, a in enumerate(fields))
+        assert _scaled(row, inv, p, w) == expected
+
+
 def _reference_rows(plan, forms, subset=None):
     """Dense rows of M, or of the submatrix on ``subset``, entry by entry."""
     ids = range(len(plan.monomials)) if subset is None else subset
@@ -316,19 +333,14 @@ def test_coordinate_triangle_singular_everywhere():
 
 
 def test_smooth_conic_in_characteristic_two():
-    # xy + z^2 has empty Jacobian locus over every field
+    # xy + z^2 has empty Jacobian locus over every field; the raw resultant
+    # vanishes identically at degree 2 mod 2, so the verdict, for the form
+    # over ZZ and given directly over GF(2), rests on the rank certificate
     f = parse_poly("x*y + z^2")
     assert is_smooth_mod_p(f, 2) is True
+    assert is_smooth_mod_p(f.reduce_mod_p(2), 2) is True
     assert singular_points_fp(f.reduce_mod_p(2), 2) == []
     assert singular_points_fp2(f.reduce_mod_p(2), 2) == []
-
-
-def test_smoothness_error_without_integer_lift():
-    # a characteristic-2 conic given directly over GF(2): the raw resultant
-    # vanishes identically at degree 2 and no integer fallback exists
-    f = parse_poly("x*y + z^2").reduce_mod_p(2)
-    with pytest.raises(ConstantSupportError):
-        is_smooth_mod_p(f, 2)
 
 
 def test_smoothness_mod_p_zero_form_rejected():
@@ -356,6 +368,169 @@ def test_smoothness_agrees_with_exhaustive_search(n, p, rng):
             assert verdict is False
         if verdict:
             assert not singular
+
+
+def _sparse_form(dom, rng, n, density):
+    """A seeded form of degree n keeping each monomial with the given chance."""
+    while True:
+        f = random_form(dom, rng, n, 9)
+        terms = {e: c for e, c in f.terms.items() if rng.random() < density}
+        if terms and len({sum(e) for e in terms}) == 1:
+            return MultiPoly(dom, f.vars, terms)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 10007, 2**61 - 1])
+def test_smoothness_is_a_nonzero_resultant_when_p_does_not_divide_the_degree(p):
+    # Euler's formula puts f in the span of its partials, so the rank
+    # certificate and the resultant of the partials decide the same question
+    rng = Random(3000 + p % 1000)
+    verdicts = set()
+    for n in range(2, 7):
+        if n % p == 0:
+            continue
+        for density in (1.0, 0.6, 0.3):
+            for _ in range(3):
+                f = _sparse_form(GF(p), rng, n, density)
+                verdict = is_smooth_mod_p(f, p)
+                assert verdict == (resultant_of_partials(f) != 0)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+class _CubicExtension:
+    """F_{p^3} = F_p[t]/(t^3 - c1 t - c0), elements as coefficient triples."""
+
+    def __init__(self, p):
+        self.p = p
+        self.c0, self.c1 = next(
+            (c0, c1) for c0 in range(1, p) for c1 in range(p)
+            if all((r**3 - c1 * r - c0) % p for r in range(p))
+        )
+
+    def elements(self):
+        p = self.p
+        return [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+
+    def mul(self, x, y):
+        p = self.p
+        prod = [0] * 5
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        for k in (4, 3):  # t^k = t^(k-3) (c1 t + c0)
+            top, prod[k] = prod[k], 0
+            prod[k - 3] += top * self.c0
+            prod[k - 2] += top * self.c1
+        return tuple(v % p for v in prod[:3])
+
+    def evaluate(self, g, point):
+        total = [0, 0, 0]
+        for exps, coeff in g.terms.items():
+            term = (coeff % self.p, 0, 0)
+            for x, e in zip(point, exps):
+                for _ in range(e):
+                    term = self.mul(term, x)
+            total = [a + b for a, b in zip(total, term)]
+        return tuple(v % self.p for v in total)
+
+
+def _has_singular_point_fp3(fbar, p):
+    """Whether the curve has a singular point in P^2(F_{p^3})."""
+    ext = _CubicExtension(p)
+    elems = ext.elements()
+    one, zero = (1, 0, 0), (0, 0, 0)
+    points = [(one, a, b) for a in elems for b in elems]
+    points += [(zero, one, a) for a in elems] + [(zero, zero, one)]
+    forms = [fbar] + [fbar.partial_derivative(v) for v in fbar.vars]
+    return any(all(ext.evaluate(g, pt) == zero for g in forms) for pt in points)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (4, 2), (6, 2), (3, 3), (6, 3), (5, 5)])
+def test_smoothness_when_p_divides_the_degree(n, p, capsys):
+    """Verdicts where the raw discriminant vanishes identically mod p.
+
+    A True verdict has no singular point over F_p or F_{p^2}; for integer
+    forms of degree up to 4 every verdict is the nonvanishing of the
+    normalized discriminant mod p.  A False verdict is backed by a singular
+    point over F_{p^2} or, for p <= 3, F_{p^3}; singular points can lie in
+    larger extensions only, so the unbacked False verdicts are counted.
+    """
+    rng = Random(4000 + 10 * n + p)
+    verdicts = []
+    beyond_fp2 = unbacked = 0
+    for density in (1.0, 0.6, 0.3):
+        for _ in range(24):
+            f = _sparse_form(ZZ, rng, n, density)
+            fbar = f.reduce_mod_p(p)
+            if fbar.is_zero() or not fbar.is_homogeneous():
+                continue
+            verdict = is_smooth_mod_p(f, p)
+            assert verdict == is_smooth_mod_p(fbar, p)
+            verdicts.append(verdict)
+            if n <= 4:
+                try:
+                    normalized = discriminant(f).normalized
+                except MacaulayDegenerateError:
+                    # the integer quotient can degenerate on every retry for
+                    # a sparse singular form; the point oracles still apply
+                    normalized = None
+                if normalized is not None:
+                    assert verdict == (normalized % p != 0)
+            singular = singular_points_fp(fbar, p) or singular_points_fp2(fbar, p)
+            if verdict:
+                assert not singular
+            elif not singular:
+                beyond_fp2 += 1
+                if not (p <= 3 and _has_singular_point_fp3(fbar, p)):
+                    unbacked += 1
+    assert True in verdicts and False in verdicts
+    assert unbacked <= verdicts.count(False) // 4
+    with capsys.disabled():
+        print(f"[n={n} p={p}] {verdicts.count(False)} False verdicts: {beyond_fp2} with no "
+              f"singular point over F_p^2, {unbacked} with none over F_p^3 either")
+
+
+def test_rank_certificate_degree(monkeypatch):
+    # D = d1 + d2 + d3 - 2 over the three largest generator degrees: the
+    # partials alone (3n - 5) when p does not divide n, with f (3n - 4) when
+    # it does; D - 1 would miss smooth forms, D + 1 only costs more
+    from triforms import elimination
+
+    sizes = []
+    original = elimination._eliminate_mod_p
+
+    def recording(rows, p, w, gaps, spare=()):
+        sizes.append(len(gaps))
+        return original(rows, p, w, gaps, spare)
+
+    monkeypatch.setattr(elimination, "_eliminate_mod_p", recording)
+    for n, p, D in ((4, 5, 7), (4, 2, 8), (6, 3, 14), (6, 13, 13), (2, 2, 2), (2, 3, 1)):
+        sizes.clear()
+        assert is_smooth_mod_p(fermat(n) + parse_poly(f"x^{n - 1}*y"), p) in (True, False)
+        assert sizes == [(D + 1) * (D + 2) // 2]
+
+
+def test_resultant_of_coincident_partials_mod_2_is_zero():
+    # x^3 + x^2 y + x z^2 + y^2 z + y z^2: the x- and y-partials coincide
+    # mod 2, so every Macaulay retry, and the integer lift's, degenerates;
+    # the common zero they share makes the resultant 0
+    f = parse_poly("x^3 + x^2*y + x*z^2 + y^2*z + y*z^2").reduce_mod_p(2)
+    assert resultant_of_partials(f) == 0
+    partials = [f.partial_derivative(v) for v in f.vars]
+    assert macaulay_resultant(*partials) == 0
+
+
+def test_gf2_cubics_and_quartics_have_resultants():
+    rng = Random(2080)
+    for trial in range(80):
+        n = 3 + trial % 2
+        f = _sparse_form(GF(2), rng, n, 1.0 if trial % 4 < 2 else 0.5)
+        raw = resultant_of_partials(f)
+        assert raw in (0, 1)
+        if n == 3:
+            assert (raw != 0) == is_smooth_mod_p(f, 2)
+        else:
+            assert raw == 0  # 2 divides the content of the raw quartic discriminant
 
 
 def test_bad_primes_fermat_quartic():
