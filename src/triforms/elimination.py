@@ -149,59 +149,87 @@ def _scaled(row: int, inv: int, p: int, w: int) -> int:
 
 
 def _eliminate_mod_p(rows: list[int], p: int, w: int, gaps, spare=()) -> int:
-    """Row elimination over F_p on rows packed into integers, w bits a field
-    (the list ``rows`` is consumed).
+    """Row elimination over F_p on rows packed into integers, w bits a field.
 
-    Column k is the low field of every row at step k, and ``gaps[k]`` is the
-    number of fields from it to the next column (fields in between are holes,
-    zero in every row).  The pivot is the first row whose lead is nonzero
-    mod p; it is reduced and scaled to lead 1 once per step, and every later
-    row with lead l != 0 becomes (row >> gap) + (p - l) * pivot.  Returns
-    the product of the pivots with the sign of the row swaps (the
-    determinant, for a square matrix), or 0 when a column has no pivot.
+    Column k sits ``gaps[0] + ... + gaps[k-1]`` fields up; the fields in
+    between are holes, zero in every row.  Each row waits, shifted so that
+    its low field is that column, at the first column where it may be
+    nonzero (its lowest nonzero field at the start, the next column after
+    each step), so no step touches a row before its first entry.  At step
+    k the pivot is the first waiting row whose lead is nonzero mod p; it is
+    reduced and scaled to lead 1, and every other waiting row with lead
+    l != 0 becomes (row >> gap) + (p - l) * pivot.  Returns the product of
+    the pivots with the sign of the permutation that orders the pivot rows
+    by column (the determinant, for a square matrix), or 0 when a column
+    has no pivot.
 
-    ``spare`` rows are used only when no row of ``rows`` has a pivot: each
-    is then brought up to date with the pivots of the steps it missed, one
-    at a time until one has a nonzero lead.  Every row takes at most
-    len(gaps) updates, which ``_field_width`` allows for.
+    ``spare`` rows are used only when no waiting row has a pivot: each is
+    then brought up to date with the pivots of the steps it missed, one at
+    a time until one has a nonzero lead.  Every row takes at most len(gaps)
+    updates, which ``_field_width`` allows for.
     """
     mask = (1 << w) - 1
+    column, position = {}, 0
+    for k, gap in enumerate(gaps):
+        column[position] = k
+        position += gap
+    waiting = [[] for _ in range(len(gaps) + 1)]  # (row, index) pairs per column
+    for i, r in enumerate(rows):
+        if r:
+            low = ((r & -r).bit_length() - 1) // w
+            waiting[column[low]].append((r >> (low * w), i))
     spare = [[r, 0] for r in spare]  # each with the step it is current at
     history = []  # (shift, scaled pivot) of each step, while spare rows wait
+    order = []  # the index of each step's pivot row
     det = 1
     for k, gap in enumerate(gaps):
-        for i in range(k, len(rows)):
-            lead = (rows[i] & mask) % p
+        shift = gap * w
+        here, later = waiting[k], waiting[k + 1]
+        for j, (r, i) in enumerate(here):
+            lead = (r & mask) % p
             if lead:
                 break
+            later.append((r >> shift, i))
         else:
             for entry in spare:
                 r = entry[0]
-                for shift, pivot in history[entry[1] : k]:
+                for step_shift, step_pivot in history[entry[1] : k]:
                     lead = (r & mask) % p
-                    r = (r >> shift) + (p - lead) * pivot if lead else r >> shift
+                    r = (r >> step_shift) + (p - lead) * step_pivot if lead else r >> step_shift
                 entry[:] = r, k
                 lead = (r & mask) % p
                 if lead:
                     spare.remove(entry)
-                    rows.append(r)
-                    i = len(rows) - 1
+                    i, j = len(rows) + k, len(here)
                     break
             else:
                 return 0
-        if i != k:
-            rows[k], rows[i] = rows[i], rows[k]
-            det = -det
+        order.append(i)
         det = det * lead % p
-        shift = gap * w
-        pivot = _scaled(rows[k] >> shift, pow(lead, p - 2, p), p, w)
-        for i in range(k + 1, len(rows)):
-            r = rows[i]
+        pivot = _scaled(r >> shift, pow(lead, p - 2, p), p, w)
+        for r, i in here[j + 1 :]:
             lead = (r & mask) % p
-            rows[i] = (r >> shift) + (p - lead) * pivot if lead else r >> shift
+            later.append(((r >> shift) + (p - lead) * pivot if lead else r >> shift, i))
+        here.clear()
         if spare:
             history.append((shift, pivot))
-    return det % p
+    return det * _permutation_sign(order) % p
+
+
+def _permutation_sign(order) -> int:
+    """(-1) to the number of inversions of a sequence of distinct integers."""
+    place = {v: t for t, v in enumerate(sorted(order))}
+    seen = [False] * len(order)
+    sign = 1
+    for start in range(len(order)):
+        t, length = start, 0
+        while not seen[t]:
+            seen[t] = True
+            t = place[order[t]]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 # -- the Macaulay construction ------------------------------------------------
