@@ -334,13 +334,21 @@ def test_coordinate_triangle_singular_everywhere():
 
 def test_smooth_conic_in_characteristic_two():
     # xy + z^2 has empty Jacobian locus over every field; the raw resultant
-    # vanishes identically at degree 2 mod 2, so the verdict, for the form
-    # over ZZ and given directly over GF(2), rests on the rank certificate
+    # vanishes identically at degree 2 mod 2, so the verdict rests on the
+    # rank certificate
     f = parse_poly("x*y + z^2")
     assert is_smooth_mod_p(f, 2) is True
-    assert is_smooth_mod_p(f.reduce_mod_p(2), 2) is True
     assert singular_points_fp(f.reduce_mod_p(2), 2) == []
     assert singular_points_fp2(f.reduce_mod_p(2), 2) == []
+
+
+def test_smooth_conic_given_over_gf2_without_integer_lift():
+    # the same conic given directly over GF(2): no integer form stands
+    # behind it, and the rank certificate answers without one
+    f = parse_poly("x*y + z^2").reduce_mod_p(2)
+    assert is_smooth_mod_p(f, 2) is True
+    assert singular_points_fp(f, 2) == []
+    assert singular_points_fp2(f, 2) == []
 
 
 def test_smoothness_mod_p_zero_form_rejected():
