@@ -28,11 +28,15 @@ and the exhaustive branch-locus scan below implement that oracle.  The
 genericity test is the smoothness of both sextic covariants, which also
 rules out degenerate fibers over the algebraic closure (a degenerate point
 is a singular point of its side's sextic; see ``is_generic_mod_p``);
-``degenerate_points`` lists such points over F_{p^2}.  Each scan builds the
-class's Gram pair once:
-one side's Gram matrix gives both its fiber conics (entries as integer
-ternary terms, of which only the six distinct ones are evaluated) and,
-through its adjugate, its sextic covariant.  The branch-locus scan walks
+``degenerate_points`` lists such points over F_{p^2}.
+
+A class builds its Gram pair once, on first use, into a record that lives
+in a private slot of the class (``_derived``).  One side's Gram matrix
+gives both its fiber conics (entries as ternary terms, of which only the
+six distinct ones are evaluated) and, through its adjugate, its sextic
+covariant.  Every scan, ``tangency_test``, ``gram_matrices`` and the
+ternary covariant accessors read that record when given a class; a raw
+representative is computed afresh each time.  The branch-locus scan walks
 P^2(F_p) one chart line (x, y, t) at a time: each entry and the sextic
 get their coefficients in t once per line and are evaluated at every t by
 Horner's rule, and the restricted discriminant has a closed form.
@@ -230,12 +234,18 @@ def _reduce_vector(vector, domain):
 
 
 class Class22:
-    """A (2,2)-form class stored by its canonical representative."""
+    """A (2,2)-form class stored by its canonical representative.
 
-    __slots__ = ("rep",)
+    A second, private slot holds the record of the class's derived data
+    (see ``_derived``), set on first use; equality, hashing, repr and
+    immutability ignore it.
+    """
+
+    __slots__ = ("rep", "_record")
 
     def __init__(self, rep: MultiPoly):
         object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "_record", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Class22 is immutable")
@@ -372,6 +382,9 @@ class GramPair:
 
 
 def gram_matrices(f) -> GramPair:
+    """Both Gram matrices of f; a class's pair is built once and kept."""
+    if isinstance(f, Class22):
+        return _derived(f).grams
     rep = _halved(f)
     return GramPair(
         in_x=gram_in_block(rep, X_BLOCK),
@@ -389,6 +402,54 @@ def _covariant(f, own_block, other_block) -> MultiPoly:
     return _adjugate_contraction(gram_in_block(_halved(f), other_block), own_block)
 
 
+def _ternary_terms(gram, block):
+    """Gram entries as lists of (exponent triple in the block, coefficient)."""
+    idx = [gram[0][0].vars.index(n) for n in block]
+    return [
+        [[(tuple(e[k] for k in idx), c) for e, c in gram[i][j].terms.items()] for j in range(3)]
+        for i in range(3)
+    ]
+
+
+@dataclass(frozen=True)
+class _Side:
+    """One projection of a class: the fiber conics over its plane."""
+
+    name: str  # "x" or "z"
+    block: tuple  # the variables of its plane
+    gram: tuple  # the fiber conic's Gram matrix, entries quadratic in the block
+    terms: list  # the same entries as ternary terms in the block
+    sextic: MultiPoly  # the side's sextic covariant, ternary in the block
+
+
+@dataclass(frozen=True)
+class _Record:
+    grams: GramPair
+    sides: tuple  # (x-side, z-side)
+
+
+def _derived(cls: Class22) -> _Record:
+    """The class's Gram pair and both sides, built on first use and kept.
+
+    Over a point of the x-plane the fiber conic lives in the z-plane: its
+    Gram matrix is the one contracted in the z-block, with entries quadratic
+    in x, and the adjugate of that same matrix contracted with x is the
+    x-sextic covariant.  The z-side mirrors this.  This is the only place
+    that pairs a side with its Gram matrix, and the record lives as long as
+    the class does.
+    """
+    record = cls._record
+    if record is None:
+        grams = gram_matrices(cls.rep)
+        record = _Record(grams, tuple(
+            _Side(name, block, gram, _ternary_terms(gram, block),
+                  _adjugate_contraction(gram, block).restrict_to_vars(block))
+            for name, block, gram in (("x", X_BLOCK, grams.in_z), ("z", Z_BLOCK, grams.in_x))
+        ))
+        object.__setattr__(cls, "_record", record)
+    return record
+
+
 def sextic_covariant_x(f) -> MultiPoly:
     """(x) Adj(G) (x)^t for G the Gram matrix in the z-block; sextic in x."""
     return _covariant(f, X_BLOCK, Z_BLOCK)
@@ -401,10 +462,14 @@ def sextic_covariant_z(f) -> MultiPoly:
 
 def covariant_x_ternary(f) -> MultiPoly:
     """sextic_covariant_x as an honest ternary form in (x1, x2, x3)."""
+    if isinstance(f, Class22):
+        return _derived(f).sides[0].sextic
     return sextic_covariant_x(f).restrict_to_vars(X_BLOCK)
 
 
 def covariant_z_ternary(f) -> MultiPoly:
+    if isinstance(f, Class22):
+        return _derived(f).sides[1].sextic
     return sextic_covariant_z(f).restrict_to_vars(Z_BLOCK)
 
 
@@ -435,37 +500,6 @@ def _require_odd_prime_class(f) -> tuple[Class22, PrimeField]:
     if dom.p == 2:
         raise PrimeError("tangency tests need odd characteristic")
     return cls, dom
-
-
-def _sides(cls: Class22):
-    """(side, block, fiber-conic Gram matrix) of both projections, from one build.
-
-    Over a point of the x-plane the fiber conic lives in the z-plane: its
-    Gram matrix is the one contracted in the z-block, with entries quadratic
-    in x, and the adjugate of that same matrix contracted with x is the
-    x-sextic covariant.  The z-side mirrors this.  This is the only place
-    that pairs a side with its Gram matrix.
-    """
-    grams = gram_matrices(cls)
-    return (("x", X_BLOCK, grams.in_z), ("z", Z_BLOCK, grams.in_x))
-
-
-def _ternary_terms(gram, block):
-    """Gram entries as lists of (exponent triple in the block, integer coefficient)."""
-    idx = [gram[0][0].vars.index(n) for n in block]
-    return [
-        [[(tuple(e[k] for k in idx), c) for e, c in gram[i][j].terms.items()] for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _scan_sides(cls: Class22):
-    """(side, Gram entries as ternary terms, ternary sextic covariant) per side."""
-    return [
-        (side, _ternary_terms(gram, block),
-         _adjugate_contraction(gram, block).restrict_to_vars(block))
-        for side, block, gram in _sides(cls)
-    ]
 
 
 def _line_values(terms, x: int, y: int, ts, p: int) -> list[int]:
@@ -540,9 +574,9 @@ def tangency_test(f, point, side: str = "x"):
     a = [int(v) % p for v in point]
     if all(v == 0 for v in a):
         raise ZeroInputError("projective point must be nonzero")
-    for name, block, gram in _sides(cls):
-        if name == side:
-            m = _symmetric_conic(_ternary_terms(gram, block), lambda t: _eval_fp(t, a, p))
+    for s in _derived(cls).sides:
+        if s.name == side:
+            m = _symmetric_conic(s.terms, lambda t: _eval_fp(t, a, p))
             return _restricted_disc(m, a, p)
     raise ValueError("side must be 'x' or 'z'")
 
@@ -588,9 +622,10 @@ def branch_locus_report(f) -> BranchLocusReport:
     # P^2(F_p) in the order of projective_points_prime, line by line:
     # (1, a, t) for each a, then (0, 1, t), then (0, 0, 1)
     lines = [(1, a, range(p)) for a in range(p)] + [(0, 1, range(p)), (0, 0, (1,))]
-    for side, gram_terms, sextic in _scan_sides(cls):
-        entry_terms = [gram_terms[i][j] for i, j in _UPPER]
-        sextic_terms = list(sextic.terms.items())
+    for s in _derived(cls).sides:
+        side = s.name
+        entry_terms = [s.terms[i][j] for i, j in _UPPER]
+        sextic_terms = list(s.sextic.terms.items())
         for x, y, ts in lines:
             entries = [_line_values(terms, x, y, ts, p) for terms in entry_terms]
             covs = _line_values(sextic_terms, x, y, ts, p)
@@ -619,16 +654,16 @@ def branch_locus_report(f) -> BranchLocusReport:
     )
 
 
-def _degenerate_scan_side(side: str, gram_terms, sextic: MultiPoly, ext: QuadExtension):
+def _degenerate_scan_side(side: _Side, ext: QuadExtension):
     """Degenerate fiber points over P^2(F_{p^2}) for one projection.
 
-    ``gram_terms`` and ``sextic`` are one side's entry of ``_scan_sides``.
     Degenerate points lie on the vanishing of the side's sextic covariant,
     so only the covariant's zero locus is examined pointwise, evaluating the
     six distinct Gram entries there.
     """
+    sextic = side.sextic
     if sextic.is_zero():
-        raise ZeroInputError(f"{side}-side covariant vanishes identically")
+        raise ZeroInputError(f"{side.name}-side covariant vanishes identically")
     zero = ext.zero()
 
     def qform(m, u, v):
@@ -640,7 +675,7 @@ def _degenerate_scan_side(side: str, gram_terms, sextic: MultiPoly, ext: QuadExt
 
     degenerate = []
     for pt in ternary_zeros_ext(list(sextic.terms.items()), 6, ext):
-        m = _symmetric_conic(gram_terms, lambda t: evaluate_terms_ext(t, pt, ext))
+        m = _symmetric_conic(side.terms, lambda t: evaluate_terms_ext(t, pt, ext))
         # the line a.w = 0 is spanned by a_pivot e_k - a_k e_pivot, k != pivot
         pivot = max(i for i in range(3) if pt[i] != zero)
         vecs = []
@@ -659,10 +694,7 @@ def degenerate_points(f, p: int | None = None):
     """Degenerate fiber points of both projections over P^2(F_{p^2})."""
     cls, field = _require_odd_prime_class(f if p is None else _reduced(f, p))
     ext = QuadExtension(field.p)
-    return {
-        side: _degenerate_scan_side(side, gram_terms, sextic, ext)
-        for side, gram_terms, sextic in _scan_sides(cls)
-    }
+    return {s.name: _degenerate_scan_side(s, ext) for s in _derived(cls).sides}
 
 
 def _reduced(f, p: int):
@@ -703,7 +735,7 @@ def is_generic_mod_p(f, p: int) -> bool:
     cls = _reduced(f, p)
     if cls.is_zero():
         return False
-    sides = _scan_sides(cls)
-    if any(sextic.is_zero() for _, _, sextic in sides):
+    sextics = [s.sextic for s in _derived(cls).sides]
+    if any(sextic.is_zero() for sextic in sextics):
         return False
-    return all(is_smooth_mod_p(sextic, p) for _, _, sextic in sides)
+    return all(is_smooth_mod_p(sextic, p) for sextic in sextics)

@@ -26,8 +26,10 @@ from .suites import DRAWS_PER_TRIAL, SUITE_NAMES, SuiteConfig, run_suite
 # branch-check point of P^2(F_p), ~18 us per lattice-enum grid cell) so that
 # an accepted input finishes in about 10 s: p <= 353 for branch-check,
 # box <= 81.  A branch-check point now costs ~2.3 us (0.6 s at p = 353); the
-# bound stays as it was.  generic has no bound: it scans no points, and took
-# 5-31 ms per class from p = 41 up to p = 2**127 - 1.
+# bound stays as it was.  generic has no budget: it scans no points, and took
+# 10-40 ms per class from p = 41 up to the largest prime a field accepts, just
+# below intutil.PRIME_PROOF_LIMIT (3.3 * 10**24); larger --mod values are
+# refused with kind "bad-prime".
 BRANCH_CHECK_MAX_POINTS = 250_000
 LATTICE_BOX_MAX_CELLS = 430_000
 
@@ -91,12 +93,6 @@ def _read_matrix(path: str, domain) -> Mat3:
     return mat3_from_json(Path(path).read_text(), domain)
 
 
-def _parse_prime_set(text: str) -> set[int]:
-    if not text.strip():
-        return set()
-    return {int(tok) for tok in text.split(",") if tok.strip()}
-
-
 def _cmd_disc(args) -> int:
     f = _read_form(args.form, args.mod)
     if args.mod is not None or args.raw:
@@ -117,7 +113,7 @@ def _cmd_disc(args) -> int:
 def _cmd_good_reduction(args) -> int:
     _require_budget("good-reduction", args.trial_bound, TRIAL_BOUND_MAX, "sieve entries")
     f = _read_form(args.form)
-    s = _parse_prime_set(args.s_set)
+    s = set(args.s_set)
     bad, cofactor = elimination.bad_primes(f, s, args.trial_bound)
     _emit(
         {
@@ -158,16 +154,10 @@ def _cmd_cubic_invariants(args) -> int:
     return 0
 
 
-def _parse_tuple(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(tok) for tok in text.split(",") if tok.strip())
-
-
 def _cmd_tuple_equiv(args) -> int:
-    weights = tuple(int(w) for w in args.weights.split(","))
-    t1 = cubic.InvariantTuple(_parse_tuple(args.t1), weights)
-    t2 = cubic.InvariantTuple(_parse_tuple(args.t2), weights)
-    s = _parse_prime_set(args.s_set)
-    witness = cubic.tuples_equivalent(t1, t2, s)
+    t1 = cubic.InvariantTuple(args.t1, args.weights)
+    t2 = cubic.InvariantTuple(args.t2, args.weights)
+    witness = cubic.tuples_equivalent(t1, t2, set(args.s_set))
     if witness is None:
         _emit({"equivalent": False})
     else:
@@ -233,7 +223,7 @@ def _cmd_lattice_enum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    primes = tuple(int(p) for p in args.primes.split(",") if p.strip())
+    primes = args.primes
     if args.suite == "branch-locus":
         # each trial runs the scan of the branch-check command
         for p in primes:
@@ -270,6 +260,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _comma_list(convert):
+    """An argument type: the comma-separated non-blank items, each converted."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(tok) for tok in text.split(",") if tok.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_int_list = _comma_list(int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triforms",
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("good-reduction", help="bad primes of a ternary form")
     p.add_argument("--form", required=True)
-    p.add_argument("--s-set", default="")
+    p.add_argument("--s-set", type=_int_list, default="")
     p.add_argument("--trial-bound", type=_positive_int, default=100_000)
     p.set_defaults(func=_cmd_good_reduction)
 
@@ -301,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cubic_invariants)
 
     p = sub.add_parser("tuple-equiv", help="weighted equivalence of invariant tuples")
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    p.add_argument("--weights", default="4,6")
-    p.add_argument("--s-set", default="")
+    p.add_argument("--t1", type=_comma_list(Fraction), required=True)
+    p.add_argument("--t2", type=_comma_list(Fraction), required=True)
+    p.add_argument("--weights", type=_int_list, default="4,6")
+    p.add_argument("--s-set", type=_int_list, default="")
     p.set_defaults(func=_cmd_tuple_equiv)
 
     p = sub.add_parser("canonicalize", help="canonical (2,2)-class representative")
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--domain", default="QQ")
-    p.add_argument("--primes", default="11")
+    p.add_argument("--primes", type=_int_list, default="11")
     p.add_argument("--degree", type=int, default=3)
     p.set_defaults(func=_cmd_verify)
 

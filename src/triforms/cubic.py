@@ -40,7 +40,7 @@ from .errors import (
     VariableSetError,
     ZeroInputError,
 )
-from .intutil import is_prime, rational_nth_roots, strip_primes, trial_factor
+from .intutil import PRIME_PROOF_LIMIT, is_prime, rational_nth_roots, strip_primes, trial_factor
 
 # Bracket monomials: letters are 0..k-1, each bracket lists three letters;
 # every letter occurs in exactly three brackets.
@@ -232,7 +232,6 @@ def scale_tuple(lam, t: InvariantTuple) -> InvariantTuple:
 # Denominators are trial-divided up to _TRIAL_BOUND; the cofactor left over
 # is accepted only when it is certainly prime.
 _TRIAL_BOUND = 10**6
-_MILLER_RABIN_LIMIT = 33 * 10**23  # is_prime is deterministic below this
 
 
 def _integralize(t: InvariantTuple) -> tuple[int, ...]:
@@ -243,7 +242,7 @@ def _integralize(t: InvariantTuple) -> tuple[int, ...]:
         factors, rest = trial_factor(v.denominator, _TRIAL_BOUND)
         # every prime factor of rest exceeds the bound, so below its square
         # rest is 1 or prime
-        if rest >= _TRIAL_BOUND**2 and not (rest < _MILLER_RABIN_LIMIT and is_prime(rest)):
+        if rest >= _TRIAL_BOUND**2 and not (rest < PRIME_PROOF_LIMIT and is_prime(rest)):
             raise BudgetExceededError(
                 f"denominator {v.denominator} has a factor beyond the trial-division budget"
             )

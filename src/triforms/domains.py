@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainMismatchError, PrimeError
-from .intutil import is_prime
+from .intutil import PRIME_PROOF_LIMIT, is_prime
 
 
 class Domain:
@@ -213,6 +213,8 @@ class PrimeField(Domain):
     is_field = True
 
     def __init__(self, p: int):
+        if p >= PRIME_PROOF_LIMIT:
+            raise PrimeError(f"{p} is not below the primality-proof limit {PRIME_PROOF_LIMIT}")
         if not is_prime(p):
             raise PrimeError(f"{p} is not prime")
         self.p = p

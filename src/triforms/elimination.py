@@ -34,7 +34,8 @@ degree d1 + d2 + d3 - 2 (Macaulay).  The same packed elimination decides
 it, with each row a shift of one packed form; it has no degenerate case,
 so no shear retry, content witness or point scan is involved.  Over GF(p)
 it also settles the resultant when every retry degenerates: forms with a
-common zero have resultant 0.
+common zero have resultant 0.  Over ZZ and QQ the same case is settled by
+the exact rank of the same Macaulay rows, from fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -373,8 +374,9 @@ def _sheared(forms):
 def _resultant_exact(forms, p: int | None):
     """The Macaulay quotient over ZZ (p None) or GF(p), with the degenerate path.
 
-    Over GF(p), when every retry degenerates, forms with a common zero have
-    resultant 0 by the rank certificate of ``_no_common_zero_mod_p``.
+    When every retry degenerates, forms with a common zero have resultant 0:
+    over GF(p) by the rank certificate of ``_no_common_zero_mod_p``, over ZZ
+    by the exact rank of ``_common_zero_over_qbar``.
     """
     d = forms[0].homogeneous_degree()
     plan = _plan(d)
@@ -382,9 +384,11 @@ def _resultant_exact(forms, p: int | None):
         quotient = _quotient(plan, moved, p)
         if quotient is not None:
             return quotient
-    if p is not None:
-        if not _no_common_zero_mod_p([(d, list(g.terms.items())) for g in forms], p):
+    if p is None:
+        if _common_zero_over_qbar(forms, d):
             return 0
+    elif not _no_common_zero_mod_p([(d, list(g.terms.items())) for g in forms], p):
+        return 0
     raise MacaulayDegenerateError(
         "reduced Macaulay minor vanished for every retry; resultant undetermined"
     )
@@ -645,6 +649,49 @@ def _no_common_zero_mod_p(forms, p: int) -> bool:
         if (g, b, c) not in classical
     ]
     return _eliminate_mod_p(rows, p, w, gaps, spare) != 0
+
+
+def _rank_bareiss(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination (destroys its input).
+
+    Bareiss's update, with a column passed over when no remaining row is
+    nonzero there.  Every entry stays a minor of the input (Sylvester's
+    identity on the pivot columns so far), so each division is exact.
+    """
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        tail = rows[rank][col:]
+        pivot = tail[0]
+        for row in rows[rank + 1 :]:
+            lead = row[col]
+            row[col:] = [(pivot * a - lead * b) // prev for a, b in zip(row[col:], tail)]
+        prev = pivot
+        rank += 1
+    return rank
+
+
+def _common_zero_over_qbar(forms, d: int) -> bool:
+    """Whether integer ternary forms of degree d share a zero over Q-bar.
+
+    Macaulay's theorem, as in ``_no_common_zero_mod_p`` but over QQ: the
+    forms have no common zero exactly when their multiples span every form
+    of degree D = 3d - 2, that is when the matrix of those multiples has
+    full column rank.  The rank is exact, from ``_rank_bareiss``.
+    """
+    D = 3 * d - 2
+    index = {m: j for j, m in enumerate(_monomials(D))}
+    rows = []
+    for g in forms:
+        for a, b, c in _monomials(D - d):
+            row = [0] * len(index)
+            for (x, y, z), coeff in g.terms.items():
+                row[index[a + x, b + y, c + z]] = coeff
+            rows.append(row)
+    return _rank_bareiss(rows) < len(index)
 
 
 def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:

@@ -12,17 +12,15 @@ methods: it inlines the multiply-add on integer pairs, using the modulus
 
 from __future__ import annotations
 
+from .domains import GF
 from .errors import PrimeError
-from .intutil import is_prime
 
 
 class QuadExtension:
     """F_{p^2} with elements as (a, b) = a + b*t, t^2 = s*t + c."""
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise PrimeError(f"need a prime, got {p}")
-        self.p = p
+        self.p = GF(p).p  # GF refuses a p it cannot prove prime
         if p == 2:
             self.s, self.c = 1, 1
         else:

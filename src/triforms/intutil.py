@@ -8,11 +8,19 @@ from itertools import compress, islice
 from math import gcd, isqrt, prod
 
 
+# Strong-probable-prime bases: the first 13 primes.  No composite below
+# 3317044064679887385961981 passes all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017), so below
+# PRIME_PROOF_LIMIT, that bound rounded down, ``is_prime`` is a proof.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_PROOF_LIMIT = 33 * 10**23
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
+    """Deterministic Miller-Rabin, a proof for all n < PRIME_PROOF_LIMIT."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -20,7 +28,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -576,15 +576,12 @@ def poly_from_json(data) -> MultiPoly:
         data = json.loads(data)
     try:
         variables = tuple(data["vars"])
-        term_list = data["terms"]
-    except (KeyError, TypeError) as exc:
+        term_list = list(data["terms"])
+        p = int(data["p"]) if "p" in data else None
+        rational = data.get("domain") == "QQ" or any("/" in str(t["c"]) for t in term_list)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed polynomial JSON: {exc}") from exc
-    if "p" in data:
-        domain: Domain = GF(int(data["p"]))
-    elif data.get("domain") == "QQ" or any("/" in str(t["c"]) for t in term_list):
-        domain = QQ
-    else:
-        domain = ZZ
+    domain: Domain = GF(p) if p is not None else QQ if rational else ZZ
     terms = {}
     for t in term_list:
         try:

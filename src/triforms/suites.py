@@ -51,7 +51,10 @@ class SuiteConfig:
         if name == "QQ":
             return QQ
         if name.startswith("GF(") and name.endswith(")"):
-            return GF(int(name[3:-1]))
+            try:
+                return GF(int(name[3:-1]))
+            except ValueError:
+                pass
         raise TriformsError(f"unknown domain {name!r}")
 
 

@@ -8,6 +8,7 @@ import pytest
 from triforms import biquadratic, elimination
 from triforms.biquadratic import (
     X_BLOCK,
+    Class22,
     Z_BLOCK,
     _MONOMIALS_22,
     act_22,
@@ -443,8 +444,9 @@ def _reference_branch_locus(cls, p):
     """branch_locus_report's outcome by evaluating every entry at every point."""
     counterexamples = []
     checked = 0
-    for side, gram_terms, sextic in biquadratic._scan_sides(cls):
-        sextic_terms = list(sextic.terms.items())
+    for s in biquadratic._derived(cls).sides:
+        side, gram_terms = s.name, s.terms
+        sextic_terms = list(s.sextic.terms.items())
         for point in projective_points_prime(p):
             m = [[_reference_eval_fp(gram_terms[i][j], point, p) for j in range(3)]
                  for i in range(3)]
@@ -532,6 +534,8 @@ def test_branch_locus_report_builds_grams_once_per_side(rng, monkeypatch, p):
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_scans_build_one_gram_pair_and_no_public_covariant(rng, monkeypatch, p):
+    # one gram_matrices call per class covers every scan, both ternary
+    # covariants and a per-point tangency loop, in whichever order they run
     calls = []
     original = biquadratic.gram_matrices
 
@@ -545,20 +549,88 @@ def test_scans_build_one_gram_pair_and_no_public_covariant(rng, monkeypatch, p):
     monkeypatch.setattr(biquadratic, "gram_matrices", counting)
     monkeypatch.setattr(biquadratic, "sextic_covariant_x", forbidden)
     monkeypatch.setattr(biquadratic, "sextic_covariant_z", forbidden)
-    scans = (branch_locus_report, lambda c: is_generic_mod_p(c, p), degenerate_points)
+
+    def report(c):
+        try:
+            out = branch_locus_report(c)
+        except DegeneratePointError as exc:
+            return ("degenerate", exc.side, exc.point)
+        return (out.points_checked, out.counterexamples)
+
+    uses = {
+        "report": report,
+        "generic": lambda c: is_generic_mod_p(c, p),
+        "degenerate": degenerate_points,
+        "covariant_x": covariant_x_ternary,
+        "covariant_z": covariant_z_ternary,
+        "tangency_loop": lambda c: _pointwise_branch_locus(c, p),
+    }
     for trial in range(4):
         density = 0.3 if trial % 2 else 1.0
         terms = {m: rng.randrange(p) for m in _MONOMIALS_22 if rng.random() < density}
         cls = canonicalize(MultiPoly(GF(p), VARS_BIQUAD, terms))
         if cls.is_zero():
             continue
-        for scan in scans:
-            calls.clear()
+        calls.clear()
+        outcomes = {}
+        for name in rng.sample(sorted(uses), len(uses)):
             try:
-                scan(cls)
+                outcomes[name] = uses[name](cls)
             except TriformsError:
                 pass  # a refusal still builds the pair once
-            assert len(calls) == 1
+        assert len(calls) == 1
+        assert outcomes["tangency_loop"] == outcomes["report"]
+
+
+def _record_uses(dom):
+    """Every reader of a class's record, by name, for a class over dom."""
+    uses = {
+        "gram": gram_matrices,
+        "covariant_x": covariant_x_ternary,
+        "covariant_z": covariant_z_ternary,
+    }
+    if dom == ZZ:
+        uses["generic"] = lambda c: is_generic_mod_p(c, 11)
+        uses["degenerate"] = lambda c: degenerate_points(c, 11)
+    elif dom != QQ:
+        p = dom.p
+        points = list(projective_points_prime(p))[-12:]
+        uses["generic"] = lambda c: is_generic_mod_p(c, p)
+        uses["report"] = branch_locus_report
+        uses["degenerate"] = degenerate_points
+        uses["tangency"] = lambda c: [
+            tangency_test(c, point, side) for side in "xz" for point in points
+        ]
+    return uses
+
+
+def _outcome(use, cls):
+    try:
+        return use(cls)
+    except TriformsError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("dom", [GF(5), GF(7), GF(11), GF(13), ZZ, QQ], ids=str)
+def test_record_matches_a_fresh_class_in_any_order(rng, dom):
+    uses = _record_uses(dom)
+    for trial in range(2):
+        density = 0.3 if trial else 1.0
+        dense = random_form22(dom, rng).terms
+        terms = {m: c for m, c in dense.items() if rng.random() < density}
+        cls = canonicalize(MultiPoly(dom, VARS_BIQUAD, terms))
+        for name in rng.sample(sorted(uses), len(uses)):
+            assert _outcome(uses[name], cls) == _outcome(uses[name], Class22(cls.rep)), name
+        assert cls._record is not None
+        # and the record holds what the raw representative gives
+        for name in ("gram", "covariant_x", "covariant_z"):
+            assert _outcome(uses[name], cls) == _outcome(uses[name], cls.rep), name
+        fresh = Class22(cls.rep)
+        assert cls == fresh and hash(cls) == hash(fresh)
+        assert repr(cls) == repr(fresh) == f"Class22({cls.rep!r})"
+        for slot in ("rep", "_record"):
+            with pytest.raises(AttributeError):
+                setattr(cls, slot, None)
 
 
 # -- genericity -------------------------------------------------------------------
@@ -694,7 +766,7 @@ def test_degenerate_points_are_singular_points_of_the_sextic(p):
     rng = Random(6000 + p)
     degenerate_classes = 0
     for kind, cls in _lemma_classes(p, rng):
-        sextics = {side: sextic for side, _, sextic in biquadratic._scan_sides(cls)}
+        sextics = {s.name: s.sextic for s in biquadratic._derived(cls).sides}
         if any(sextic.is_zero() for sextic in sextics.values()):
             continue
         points = degenerate_points(cls)
@@ -729,14 +801,16 @@ def test_generic_never_scans_fibers(monkeypatch, p):
 def test_scan_sides_match_public_covariants_and_evaluation(rng, p):
     for _ in range(3):
         cls = canonicalize(random_form22(GF(p), rng, 10))
-        sides = biquadratic._scan_sides(cls)
-        assert [side for side, _, _ in sides] == ["x", "z"]
-        assert sides[0][2] == covariant_x_ternary(cls)
-        assert sides[1][2] == covariant_z_ternary(cls)
-        grams = gram_matrices(cls)
-        for (side, gram_terms, sextic), gram, block in zip(
-            sides, (grams.in_z, grams.in_x), (X_BLOCK, Z_BLOCK)
-        ):
+        sides = biquadratic._derived(cls).sides
+        assert [s.name for s in sides] == ["x", "z"]
+        # the record against the raw representative's covariants and Gram pair
+        assert sides[0].sextic == covariant_x_ternary(cls.rep)
+        assert sides[1].sextic == covariant_z_ternary(cls.rep)
+        grams = gram_matrices(cls.rep)
+        assert gram_matrices(cls) == grams
+        for s, gram, block in zip(sides, (grams.in_z, grams.in_x), (X_BLOCK, Z_BLOCK)):
+            assert (s.block, s.gram) == (block, gram)
+            gram_terms, sextic = s.terms, s.sextic
             sextic_terms = list(sextic.terms.items())
             for point in projective_points_prime(5):
                 assert biquadratic._eval_fp(sextic_terms, point, p) == sextic.evaluate(point)
@@ -756,7 +830,7 @@ def test_generic_at_3_answers(rng):
             cls = canonicalize(random_form22(dom, rng, 5))
             generic = is_generic_mod_p(cls, 3)
             if generic:
-                for _, _, sextic in biquadratic._scan_sides(biquadratic._reduced(cls, 3)):
-                    assert singular_points_fp2(sextic, 3) == []
+                for s in biquadratic._derived(biquadratic._reduced(cls, 3)).sides:
+                    assert singular_points_fp2(s.sextic, 3) == []
             verdicts.add(generic)
     assert verdicts == {True, False}

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from triforms import cli
+from triforms.intutil import PRIME_PROOF_LIMIT
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -180,6 +183,81 @@ def test_generic_answers_at_any_prime(prime, tmp_path):
         assert time.perf_counter() - start < 5
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"generic": generic, "prime": int(prime)}
+
+
+@pytest.mark.parametrize(
+    "prime", [PRIME_PROOF_LIMIT, 2**127 - 1, 2**4423 - 1], ids=["limit", "m127", "m4423"]
+)
+def test_primes_beyond_the_proof_limit_are_refused(prime, tmp_path, capsys):
+    form = tmp_path / "form.txt"
+    form.write_text(GENERIC_22 + "\n")
+    commands = [
+        ("generic", "--form", str(form)),
+        ("covariants", "--form", str(form)),
+        ("canonicalize", "--form", str(form)),
+        ("disc", "--form", str(FIXTURES / "fermat4.txt")),
+    ]
+    for command in commands:
+        start = time.perf_counter()
+        assert cli.main([*command, "--mod", str(prime)]) == 1
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "bad-prime"
+
+
+def test_largest_prime_below_the_proof_limit_answers(tmp_path, capsys):
+    prime = PRIME_PROOF_LIMIT - 1
+    form = tmp_path / "form.txt"
+    form.write_text(GENERIC_22 + "\n")
+    assert cli.main(["generic", "--form", str(form), "--mod", str(prime)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"generic": True, "prime": prime}
+    assert cli.main(["disc", "--form", str(FIXTURES / "fermat4.txt"), "--mod", str(prime)]) == 0
+    assert json.loads(capsys.readouterr().out)["raw"] == str(2**54 % prime)
+
+
+def test_integer_discriminant_whose_retries_all_degenerate_is_zero(tmp_path, capsys):
+    form = tmp_path / "form.txt"
+    form.write_text("6*x^3*z - 7*x^2*z^2 - 4*x*y*z^2 + 4*x*z^3\n")
+    assert cli.main(["disc", "--form", str(form)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["raw"], report["normalized"]) == ("0", "0")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["tuple-equiv", "--t1", "1/0,1", "--t2", "1,1"], 2),
+        (["tuple-equiv", "--t1", "x,1", "--t2", "1,1"], 2),
+        (["tuple-equiv", "--t1", "1,1", "--t2", "1,1", "--weights", "a,b"], 2),
+        (["tuple-equiv", "--t1", "1,1", "--t2", "1,1", "--s-set", "x"], 2),
+        (["good-reduction", "--form", str(FIXTURES / "fermat4.txt"), "--s-set", "2,x"], 2),
+        (["verify", "--suite", "euler", "--primes", "x"], 2),
+        (["verify", "--suite", "euler", "--domain", "GF(x)"], 1),
+    ],
+    ids=["t1-zero-den", "t1-word", "weights", "tuple-s-set", "good-reduction-s-set",
+         "verify-primes", "verify-domain"],
+)
+def test_malformed_lists_are_refused_without_traceback(args, code, capsys):
+    assert cli.main(args) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code == 1:
+        assert json.loads(out)["error"]["kind"] == "error"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vars": ["x", "y", "z"], "terms": [{"e": [1, 0, 0]}]}',
+        '{"vars": ["x", "y", "z"], "p": "abc", "terms": []}',
+        '{"vars": ["x", "y", "z"], "terms": 3}',
+    ],
+    ids=["term-without-c", "word-prime", "terms-not-a-list"],
+)
+def test_malformed_json_forms_are_parse_errors(text, tmp_path, capsys):
+    form = tmp_path / "form.json"
+    form.write_text(text)
+    assert cli.main(["cubic-invariants", "--form", str(form)]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_scans_within_budget_still_answer():

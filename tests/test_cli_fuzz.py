@@ -1,0 +1,182 @@
+"""In-process fuzz of the CLI contract.
+
+Whatever the arguments, ``cli.main`` returns 0, 1 or 2 without raising,
+prints one JSON object on stdout for 0 and 1, and never leaks a traceback.
+The generated inputs mix well-formed and malformed forms, matrices, primes
+(composite, 2, huge, beyond the primality-proof limit), weights and sizes;
+the examples are derandomized, so every run draws the same ones.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import count
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from triforms import cli
+from triforms.intutil import PRIME_PROOF_LIMIT
+
+PRIMES = [
+    "-7", "0", "1", "2", "3", "4", "9", "11", "13", "101", "561",
+    str(399165290221 * 798330580441),  # a strong pseudoprime to bases 2..37
+    str(PRIME_PROOF_LIMIT - 1), str(PRIME_PROOF_LIMIT), str(2**127 - 1),
+    "abc", "", "1e3", "0x11", "11,13",
+]
+SIZES = ["-3", "0", "1", "2", "10", str(10**9), "x", "2.5"]
+SCALARS = ["0", "1", "-1", "2", "3", "-5", "1/2", "-7/3", "1/0", "x", "", "9" * 40]
+WEIGHTS = ["4,6", "2,3", "1", "0,0", "-1,2", "4,6,8", "a,b", "", ",", "4,,6"]
+
+TERNARY = ["x", "y", "z"]
+BIQUAD = ["x1", "x2", "x3", "z1", "z2", "z3"]
+
+
+@st.composite
+def monomial_forms(draw, variables, max_degree):
+    """Sums of small terms of degree up to max_degree, homogeneous or not."""
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        factors = [draw(st.sampled_from(SCALARS[:7]))]
+        for _ in range(draw(st.integers(0, max_degree))):
+            factors.append(draw(st.sampled_from(variables)))
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@st.composite
+def biquadratic_forms(draw):
+    """(2,2) forms, from sparse to dense, with small integer coefficients."""
+    terms = []
+    for a in range(3):
+        for b in range(a, 3):
+            for c in range(3):
+                for d in range(c, 3):
+                    if draw(st.booleans()):
+                        factors = [draw(st.integers(-3, 3)), *(BIQUAD[i] for i in (a, b))]
+                        factors += [BIQUAD[3 + i] for i in (c, d)]
+                        terms.append("*".join(map(str, factors)))
+    return " + ".join(terms)
+
+
+JSON_FORMS = [
+    '{"vars": ["x", "y", "z"], "terms": [{"e": [2, 0, 0], "c": "1"}, {"e": [0, 1, 1], "c": "-3"}]}',
+    '{"vars": ["x", "y", "z"], "terms": [{"e": [-1, 0, 3], "c": "1"}]}',
+    '{"vars": ["x", "y", "z"], "domain": "GF", "p": "4", "terms": []}',
+    '{"vars": ["x", "y"], "terms": [{"e": [1, 1], "c": "1/2"}]}',
+    '{"vars": ["x", "x", "z"], "terms": [{"e": [1, 0, 0], "c": "1"}]}',
+    '{"vars": ["x", "y", "z"], "terms": [{"e": [1, 0, 0]}]}',
+    '{"terms": 3}',
+    "{not json",
+    "[]",
+]
+
+forms = st.one_of(
+    # the degrees stay low: disc has no budget on the degree of its form
+    monomial_forms(TERNARY, 4),
+    monomial_forms(BIQUAD, 4),
+    biquadratic_forms(),
+    st.sampled_from(JSON_FORMS),
+    st.text(alphabet="xyz123^*+-/ ()._", max_size=20),
+)
+
+matrices = st.one_of(
+    st.lists(st.sampled_from(SCALARS), min_size=9, max_size=9).map(json.dumps),
+    st.lists(st.sampled_from(SCALARS), max_size=12).map(json.dumps),
+    st.sampled_from(['{"a": 1}', "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "nope", "[1, 2"]),
+)
+
+
+def _mod(draw):
+    return ["--mod", draw(st.sampled_from(PRIMES))] if draw(st.booleans()) else []
+
+
+@st.composite
+def invocations(draw):
+    """An argument list, plus the files it names: {placeholder: contents}."""
+    files = {}
+
+    def form_file():
+        files["FORM"] = draw(forms)
+        return "FORM"
+
+    command = draw(st.sampled_from([
+        "disc", "good-reduction", "act", "cubic-invariants", "tuple-equiv",
+        "canonicalize", "covariants", "branch-check", "generic", "lattice-enum", "verify",
+    ]))
+    if command == "disc":
+        args = ["--form", form_file(), *_mod(draw)]
+        args += ["--raw"] if draw(st.booleans()) else []
+    elif command == "good-reduction":
+        args = ["--form", form_file(), "--trial-bound", draw(st.sampled_from(SIZES))]
+        args += ["--s-set", draw(st.sampled_from(["", "2", "2,3", "x", "-5"]))]
+    elif command == "act":
+        files["GAMMA"] = draw(matrices)
+        args = ["--form", form_file(), "--gamma", "GAMMA", *_mod(draw)]
+        args += ["--rep", draw(st.sampled_from(["vn", "v22", "bad"]))]
+    elif command == "cubic-invariants":
+        args = ["--form", form_file()]
+    elif command == "tuple-equiv":
+        args = [
+            "--t1", ",".join(draw(st.lists(st.sampled_from(SCALARS), max_size=3))),
+            "--t2", ",".join(draw(st.lists(st.sampled_from(SCALARS), max_size=3))),
+            "--weights", draw(st.sampled_from(WEIGHTS)),
+            "--s-set", draw(st.sampled_from(["", "2", "2,3", "x"])),
+        ]
+    elif command in ("canonicalize", "covariants"):
+        args = ["--form", form_file(), *_mod(draw)]
+    elif command in ("branch-check", "generic"):
+        args = ["--form", form_file(), "--mod", draw(st.sampled_from(PRIMES))]
+    elif command == "lattice-enum":
+        args = ["--box", draw(st.sampled_from(SIZES))] if draw(st.booleans()) else []
+    else:
+        # sizes small enough that an accepted run stays cheap
+        args = [
+            "--suite", draw(st.sampled_from(["euler", "cubic-kappa", "v22-welldef",
+                                             "branch-locus", "disc-covariance", "nope"])),
+            "--trials", draw(st.sampled_from(["0", "1", "x", str(10**9)])),
+            "--domain", draw(st.sampled_from(["QQ", "ZZ", "GF(11)", "GF(4)", "GF(x)", "RR"])),
+            "--primes",
+            draw(st.sampled_from(["3", "11", "2", "4", "", "x", str(PRIME_PROOF_LIMIT)])),
+            "--degree", draw(st.sampled_from(["-1", "1", "2", "3", "9", "x"])),
+        ]
+    return [command, *args], files
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+_RUN = count()
+
+
+@settings(
+    derandomize=True,
+    max_examples=250,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(invocations())
+def test_cli_contract_holds_for_any_arguments(workdir, capsys, invocation):
+    argv, files = invocation
+    run = next(_RUN)
+    paths = {}
+    for name, text in files.items():
+        path = workdir / f"{name.lower()}{run}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    argv = [paths.get(a, a) for a in argv]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        lines = out.splitlines()
+        assert len(lines) == 1, (argv, out)
+        data = json.loads(lines[0])
+        assert isinstance(data, dict)
+        if code == 1 and argv[0] != "verify":
+            assert set(data) == {"error"} and data["error"]["kind"], (argv, data)

@@ -11,6 +11,11 @@ import pytest
 
 from triforms.domains import GF, QQ, ZZ
 from triforms.elimination import (
+    _common_zero_over_qbar,
+    _plan,
+    _quotient,
+    _rank_bareiss,
+    _sheared,
     bad_primes,
     derive_normalization_constant,
     det_bareiss,
@@ -219,6 +224,49 @@ def test_raw_discriminant_mod_p_when_every_retry_degenerates():
     raw = discriminant(fbar, normalize=False).raw
     assert raw == resultant_of_partials(f) % 5 != 0
     assert is_smooth_mod_p(f, 5) is True
+
+
+def _reference_rank(rows):
+    """Rank by Gaussian elimination over Fraction."""
+    rows = [[Fraction(a) for a in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_bareiss_matches_rational_elimination(rng):
+    for _ in range(60):
+        n_rows, n_cols, true_rank = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
+        left = [[rng.randint(-5, 5) for _ in range(true_rank)] for _ in range(n_rows)]
+        right = [[rng.randint(-5, 5) if rng.random() < 0.7 else 0 for _ in range(n_cols)]
+                 for _ in range(true_rank)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if right
+                else [0] * n_cols for row in left]
+        assert _rank_bareiss([row[:] for row in rows]) == _reference_rank(rows)
+
+
+def test_integer_discriminant_when_every_retry_degenerates():
+    # every shear retry's reduced minor vanishes for this singular quartic,
+    # xz(6x^2 - 7xz - 4yz + 4z^2); the exact rank of the Macaulay rows of
+    # its partials is deficient, so the raw discriminant is 0
+    f = parse_poly("6*x^3*z - 7*x^2*z^2 - 4*x*y*z^2 + 4*x*z^3")
+    partials = [f.partial_derivative(v) for v in f.vars]
+    plan = _plan(3)
+    assert all(_quotient(plan, moved, None) is None for moved in _sheared(partials))
+    assert _common_zero_over_qbar(partials, 3)
+    for g in (f, f.to_rationals()):
+        report = discriminant(g)
+        assert report.raw == 0 and report.normalized == 0
+    # the smooth Fermat quartic's partials span every form of degree 7
+    assert not _common_zero_over_qbar([fermat(4).partial_derivative(v) for v in VARS_XYZ], 3)
 
 
 def test_rational_resultant_clears_denominators():
@@ -479,8 +527,8 @@ def test_smoothness_when_p_divides_the_degree(n, p, capsys):
                 try:
                     normalized = discriminant(f).normalized
                 except MacaulayDegenerateError:
-                    # the integer quotient can degenerate on every retry for
-                    # a sparse singular form; the point oracles still apply
+                    # a smooth form whose every integer retry degenerates is
+                    # still refused; the point oracles still apply
                     normalized = None
                 if normalized is not None:
                     assert verdict == (normalized % p != 0)

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from triforms.intutil import (
+    PRIME_PROOF_LIMIT,
     _PrimeTable,
     exact_nth_root,
     integer_nth_root,
@@ -24,6 +25,14 @@ def test_integer_nth_root_is_the_floor():
         for n in list(range(300)) + [rng.randrange(10**rng.randint(1, 500)) for _ in range(40)]:
             r = integer_nth_root(n, k)
             assert r**k <= n < (r + 1) ** k
+
+
+def test_is_prime_is_a_proof_below_its_limit():
+    # the least strong pseudoprime to the first twelve prime bases, 2..37:
+    # base 41 exposes it
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(PRIME_PROOF_LIMIT - 1)  # the largest prime a field accepts
+    assert [n for n in range(200) if is_prime(n)] == primes_up_to(200)
 
 
 def test_roots_beyond_float_range_are_exact_and_fast():
