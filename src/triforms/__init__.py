@@ -44,7 +44,6 @@ from .domains import GF, QQ, ZZ
 from .elimination import (
     DiscriminantReport,
     bad_primes,
-    derive_normalization_constant,
     discriminant,
     is_smooth_mod_p,
     macaulay_resultant,

@@ -250,6 +250,9 @@ class Class22:
     def __setattr__(self, name, value):
         raise AttributeError("Class22 is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Class22 is immutable")
+
     @property
     def domain(self):
         return self.rep.domain

@@ -33,6 +33,14 @@ from .suites import DRAWS_PER_TRIAL, SUITE_NAMES, SuiteConfig, run_suite
 BRANCH_CHECK_MAX_POINTS = 250_000
 LATTICE_BOX_MAX_CELLS = 430_000
 
+# Largest degree of a form whose raw discriminant disc (every mode) and
+# good-reduction compute.  On the same box one raw ZZ discriminant took, at
+# degrees 7 / 8 / 9: 0.16 / 0.35 / 0.80 s for the Fermat form, 0.6 / 1.5 /
+# 4.4 s for a sparse form and 1.0 / 3.4 / 13 s for a dense one with
+# coefficients in [-9, 9]; the cost grows ~4x per degree.  A larger form is
+# refused before any resultant is computed.
+DISC_MAX_DEGREE = 8
+
 # Largest good-reduction --trial-bound.  The primes up to the bound stay in
 # memory for the life of the process; on the same box a first factoring at
 # 10**7 took 0.6 s and a peak RSS of 55 MB, and both grow linearly with it.
@@ -75,6 +83,16 @@ def _require_budget(command: str, cost: int, bound: int, unit: str) -> None:
         )
 
 
+def _require_disc_degree(command: str, f: MultiPoly) -> None:
+    """Refuse a form above DISC_MAX_DEGREE, charged by the rows of the
+    Macaulay matrix of its partials: the monomials of degree 3n - 5."""
+
+    def rows(n):
+        return (3 * n - 4) * (3 * n - 3) // 2
+
+    _require_budget(command, rows(f.total_degree() or 0), rows(DISC_MAX_DEGREE), "Macaulay rows")
+
+
 def _emit(data) -> None:
     json.dump(data, sys.stdout, sort_keys=True, separators=(",", ":"))
     sys.stdout.write("\n")
@@ -95,6 +113,7 @@ def _read_matrix(path: str, domain) -> Mat3:
 
 def _cmd_disc(args) -> int:
     f = _read_form(args.form, args.mod)
+    _require_disc_degree("disc", f)
     if args.mod is not None or args.raw:
         raw = elimination.resultant_of_partials(f)
         report = {
@@ -113,6 +132,7 @@ def _cmd_disc(args) -> int:
 def _cmd_good_reduction(args) -> int:
     _require_budget("good-reduction", args.trial_bound, TRIAL_BOUND_MAX, "sieve entries")
     f = _read_form(args.form)
+    _require_disc_degree("good-reduction", f)
     s = set(args.s_set)
     bad, cofactor = elimination.bad_primes(f, s, args.trial_bound)
     _emit(

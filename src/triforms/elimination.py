@@ -17,8 +17,7 @@ computation is retried; after eight failures we give up loudly.
 
 The curve discriminant is the resultant of the three partial derivatives,
 homogeneous of degree 3(n-1)^2 in the coefficients; dividing by the content
-of that integer polynomial (a per-degree constant, read from a built-in
-table that ``derive_normalization_constant`` reproduces by sampling) gives
+of that integer polynomial, n^a with a = ((n-1)^3 + 1)/n (Demazure), gives
 the primitive normalization.
 
 The rows of M and M' are built straight from the forms' terms, as
@@ -46,18 +45,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from random import Random
 
 from .domains import QQ, ZZ, PrimeField
 from .errors import (
-    ConstantSupportError,
     DegreeError,
     DomainMismatchError,
     MacaulayDegenerateError,
     VariableSetError,
     ZeroInputError,
 )
-from .finitefield import QuadExtension, evaluate_terms_ext, ternary_zeros_ext
 from .intutil import strip_primes, trial_factor
 from .poly import MultiPoly
 
@@ -474,68 +470,18 @@ def _resultant_lifting_mod_p(forms):
         return macaulay_resultant(*(_lift(g) for g in forms)) % domain.p
 
 
-NORMALIZATION_SEED = 74025521
-
-# Per-degree content of the raw discriminant polynomial, derived by
-# ``derive_normalization_constant`` (gcd of raw values over a seeded sample;
-# an overestimate is possible in principle but is caught by the stability
-# tests).  Sign convention: positive.  The cached values below were derived
-# with the default seed and reproduced with independent seeds.
-_BUILTIN_CONSTANTS: dict[int, dict] = {
-    2: {"value": 2, "samples_used": 18, "seed": NORMALIZATION_SEED,
-        "method": "gcd of raw resultant-of-partials values"},
-    3: {"value": 27, "samples_used": 18, "seed": NORMALIZATION_SEED,
-        "method": "gcd of raw resultant-of-partials values"},
-    4: {"value": 16384, "samples_used": 19, "seed": NORMALIZATION_SEED,
-        "method": "gcd of raw resultant-of-partials values"},
-}
-
-def derive_normalization_constant(
-    n: int, samples: int = 64, seed: int = NORMALIZATION_SEED, coeff_bound: int = 6
-) -> tuple[int, dict]:
-    """gcd of raw discriminant values over a deterministic random sample."""
-    if n < 2:
-        raise DegreeError("discriminant constants start at degree 2")
-    rng = Random(seed + 1009 * n)
-    monos = _monomials(n)
-    g = 0
-    used = 0
-    stable = 0
-    while used < samples and stable < 16:
-        terms = {
-            m: rng.randint(-coeff_bound, coeff_bound) for m in monos
-        }
-        f = MultiPoly(ZZ, ("x", "y", "z"), terms)
-        if f.is_zero():
-            continue
-        raw = resultant_of_partials(f)
-        if raw == 0:
-            continue
-        new = gcd(g, raw)
-        stable = stable + 1 if new == g and g else 0
-        g = new
-        used += 1
-    meta = {
-        "degree": n,
-        "samples_used": used,
-        "seed": seed,
-        "coeff_bound": coeff_bound,
-        "method": "gcd of raw resultant-of-partials values",
-    }
-    return g, meta
-
-
 def normalization_constant(n: int) -> tuple[int, dict]:
-    """The built-in content constant for degree n, with its derivation record."""
+    """The content n^a of the raw discriminant in degree n, with its record.
+
+    Demazure ("Resultant, discriminant", Enseign. Math. 2012): for a ternary
+    n-ic f, Res(df/dx, df/dy, df/dz) = n^a disc(f) with disc primitive and
+    a = ((n - 1)^3 + 1)/n, an integer since (n - 1)^3 = -1 mod n.
+    """
     if n < 2:
         raise DegreeError("discriminant constants start at degree 2")
-    if n not in _BUILTIN_CONSTANTS:
-        raise ConstantSupportError(
-            f"no cached normalization constant for degree {n}; "
-            "raw (unnormalized) discriminants remain available"
-        )
-    entry = _BUILTIN_CONSTANTS[n]
-    return entry["value"], dict(entry)
+    a = ((n - 1) ** 3 + 1) // n
+    record = {"degree": n, "exponent": a, "method": "n^a, a = ((n-1)^3 + 1)/n (Demazure 2012)"}
+    return n**a, record
 
 
 @dataclass(frozen=True)
@@ -560,8 +506,10 @@ def discriminant(f: MultiPoly, normalize: bool = True) -> DiscriminantReport:
     """Discriminant of a ternary form of degree n >= 2.
 
     ``raw`` is the resultant of the three partials; ``normalized`` divides by
-    the per-degree content constant so that normalized * constant == raw.
-    Zero exactly when the cut-out plane curve is singular over the closure.
+    their content, ``normalization_constant(n)`` = n^a, so that
+    normalized * constant == raw and the normalized discriminant, as a
+    polynomial in the coefficients, is primitive.  Zero exactly when the
+    cut-out plane curve is singular over the closure.
     """
     if f.is_zero():
         raise ZeroInputError("discriminant of the zero form")
@@ -581,8 +529,7 @@ def discriminant(f: MultiPoly, normalize: bool = True) -> DiscriminantReport:
             quotient, remainder = divmod(raw, constant)
             if remainder:
                 raise ArithmeticError(
-                    "normalization constant does not divide a raw value; "
-                    "the cached constant is an overestimate"
+                    f"{n}^a does not divide a raw value, against Demazure's theorem"
                 )
             normalized = quotient
         else:
@@ -736,29 +683,6 @@ def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:
 def _lift(g: MultiPoly) -> MultiPoly:
     """Least-residue lift F_p -> ZZ (coefficientwise)."""
     return MultiPoly(ZZ, g.vars, dict(g.terms))
-
-
-def singular_points_fp2(fbar: MultiPoly, p: int) -> list:
-    """Singular points of the curve over P^2(F_{p^2}), as pairs a + b t.
-
-    An exhaustive search, about p^4 Horner steps: zeros of the form are
-    enumerated first; the partials are checked only there.  A point found
-    certifies singularity; none found leaves the larger extensions open,
-    which ``is_smooth_mod_p`` decides without a scan.
-    """
-    ext = QuadExtension(p)
-    zeros = ternary_zeros_ext(
-        list(fbar.terms.items()), fbar.homogeneous_degree(), ext
-    )
-    partial_terms = [
-        list(fbar.partial_derivative(v).terms.items()) for v in fbar.vars
-    ]
-    zero = ext.zero()
-    return [
-        pt
-        for pt in zeros
-        if all(evaluate_terms_ext(ts, pt, ext) == zero for ts in partial_terms)
-    ]
 
 
 def bad_primes(

@@ -37,12 +37,6 @@ class MacaulayDegenerateError(TriformsError):
     kind = "macaulay-degenerate"
 
 
-class ConstantSupportError(TriformsError):
-    """A smoothness verdict would be unreliable at this prime."""
-
-    kind = "constant-support"
-
-
 class PrimeError(TriformsError):
     kind = "bad-prime"
 

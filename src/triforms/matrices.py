@@ -44,6 +44,9 @@ class Mat3:
     def __setattr__(self, name, value):
         raise AttributeError("Mat3 is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Mat3 is immutable")
+
     @classmethod
     def identity(cls, domain: Domain) -> "Mat3":
         one, zero = domain.one(), domain.zero()

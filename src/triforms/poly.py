@@ -108,6 +108,9 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("MultiPoly is immutable")
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from math import gcd
 from random import Random
 
 import pytest
 
-from triforms.finitefield import projective_points_prime
+from triforms.domains import ZZ
+from triforms.elimination import resultant_of_partials
+from triforms.finitefield import (
+    QuadExtension,
+    evaluate_terms_ext,
+    projective_points_prime,
+    ternary_zeros_ext,
+)
 from triforms.matrices import Mat3
 from triforms.poly import MultiPoly
-from triforms.suites import random_scalar
+from triforms.suites import random_form, random_scalar
 
 
 def rand_sl3(dom, rng: Random, bound: int = 3) -> Mat3:
@@ -34,6 +42,38 @@ def singular_points_fp(fbar: MultiPoly, p: int):
         if fbar.evaluate(pt) == 0 and all(g.evaluate(pt) == 0 for g in partials):
             out.append(pt)
     return out
+
+
+def singular_points_fp2(fbar: MultiPoly, p: int) -> list:
+    """Singular points of the curve over P^2(F_{p^2}), as pairs a + b t.
+
+    An exhaustive search, about p^4 Horner steps: zeros of the form are
+    enumerated first; the partials are checked only there.  A point found
+    certifies singularity; none found leaves the larger extensions open.
+    """
+    ext = QuadExtension(p)
+    zeros = ternary_zeros_ext(list(fbar.terms.items()), fbar.homogeneous_degree(), ext)
+    partial_terms = [list(fbar.partial_derivative(v).terms.items()) for v in fbar.vars]
+    zero = ext.zero()
+    return [
+        pt
+        for pt in zeros
+        if all(evaluate_terms_ext(ts, pt, ext) == zero for ts in partial_terms)
+    ]
+
+
+def sampled_content(n: int, samples: int = 24, seed: int = 555, bound: int = 6) -> int:
+    """gcd of the raw discriminants of seeded random integer n-ics.
+
+    The content of the raw discriminant polynomial divides every value, so
+    this is a multiple of it, and equal to it once the sample is large
+    enough; an oracle for the closed form, found with no theory at all.
+    """
+    rng = Random(seed + 1009 * n)
+    content = 0
+    for _ in range(samples):
+        content = gcd(content, resultant_of_partials(random_form(ZZ, rng, n, bound)))
+    return content
 
 
 @pytest.fixture

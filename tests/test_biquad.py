@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from triforms import biquadratic, elimination
+from triforms import biquadratic
 from triforms.biquadratic import (
     X_BLOCK,
     Class22,
@@ -28,7 +28,6 @@ from triforms.biquadratic import (
     verify_well_defined,
 )
 from triforms.domains import GF, QQ, ZZ
-from triforms.elimination import singular_points_fp2
 from triforms.errors import (
     DegreeError,
     DegeneratePointError,
@@ -48,6 +47,8 @@ from triforms.fixtures import diagonal_22_cycle, diagonal_22_same, sigma_squared
 from triforms.matrices import Mat3
 from triforms.poly import VARS_BIQUAD, MultiPoly, parse_poly
 from triforms.suites import random_bilinear, random_form22, random_invertible
+
+from conftest import singular_points_fp2
 
 
 # -- canonicalization ------------------------------------------------------------
@@ -633,6 +634,15 @@ def test_record_matches_a_fresh_class_in_any_order(rng, dom):
                 setattr(cls, slot, None)
 
 
+def test_class_slots_cannot_be_deleted():
+    cls = canonicalize(diagonal_22_same())
+    gram_matrices(cls)  # fills the record
+    for slot in ("rep", "_record", "domain"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(cls, slot)
+    assert cls.rep == canonicalize(diagonal_22_same()).rep and cls._record is not None
+
+
 # -- genericity -------------------------------------------------------------------
 
 
@@ -791,8 +801,6 @@ def test_generic_never_scans_fibers(monkeypatch, p):
     monkeypatch.setattr(biquadratic, "ternary_zeros_ext", forbidden)
     monkeypatch.setattr(biquadratic, "_degenerate_scan_side", forbidden)
     monkeypatch.setattr(biquadratic, "QuadExtension", forbidden)
-    monkeypatch.setattr(elimination, "singular_points_fp2", forbidden)
-    monkeypatch.setattr(elimination, "ternary_zeros_ext", forbidden)
     verdicts = [is_generic_mod_p(cls, p) for _, cls in classes]
     assert True in verdicts and False in verdicts
 

@@ -46,6 +46,31 @@ def test_disc_singular_form_reports_zero():
     assert json.loads(proc.stdout)["normalized"] == "0"
 
 
+def test_disc_normalizes_a_quintic(tmp_path, capsys):
+    form = tmp_path / "form.txt"
+    form.write_text("x^5 + y^5 + z^5 - 2*x^2*y*z^2\n")
+    assert cli.main(["disc", "--form", str(form)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["constant"] == "1220703125" == str(5**13)
+    assert int(data["normalized"]) * 5**13 == int(data["raw"]) != 0
+
+
+@pytest.mark.parametrize(
+    "args", [["disc"], ["disc", "--raw"], ["disc", "--mod", "7"], ["good-reduction"]],
+    ids=["disc", "disc-raw", "disc-mod", "good-reduction"],
+)
+def test_disc_degree_over_its_bound_refused(args, tmp_path, capsys):
+    # refused before any resultant is computed: a raw discriminant one
+    # degree above the bound takes seconds
+    n = cli.DISC_MAX_DEGREE + 1
+    form = tmp_path / "form.txt"
+    form.write_text(f"x^{n} + y^{n} + z^{n} + x*y^{n - 1}\n")
+    start = time.perf_counter()
+    assert cli.main([args[0], "--form", str(form), *args[1:]]) == 1
+    assert time.perf_counter() - start < 0.2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "budget"
+
+
 def test_good_reduction_fermat4():
     proc = run_cli("good-reduction", "--form", str(FIXTURES / "fermat4.txt"), "--s-set", "2")
     data = json.loads(proc.stdout)

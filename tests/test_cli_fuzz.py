@@ -35,11 +35,12 @@ BIQUAD = ["x1", "x2", "x3", "z1", "z2", "z3"]
 
 @st.composite
 def monomial_forms(draw, variables, max_degree):
-    """Sums of small terms of degree up to max_degree, homogeneous or not."""
+    """Sums of small terms of degree up to max_degree, homogeneous about half the time."""
+    degree = draw(st.integers(0, max_degree)) if draw(st.booleans()) else None
     terms = []
     for _ in range(draw(st.integers(0, 6))):
         factors = [draw(st.sampled_from(SCALARS[:7]))]
-        for _ in range(draw(st.integers(0, max_degree))):
+        for _ in range(draw(st.integers(0, max_degree)) if degree is None else degree):
             factors.append(draw(st.sampled_from(variables)))
         terms.append("*".join(factors))
     return " + ".join(terms)
@@ -73,8 +74,9 @@ JSON_FORMS = [
 ]
 
 forms = st.one_of(
-    # the degrees stay low: disc has no budget on the degree of its form
-    monomial_forms(TERNARY, 4),
+    # up to degree 6, so normalized discriminants past degree 4 are drawn;
+    # disc refuses forms over cli.DISC_MAX_DEGREE before computing
+    monomial_forms(TERNARY, 6),
     monomial_forms(BIQUAD, 4),
     biquadratic_forms(),
     st.sampled_from(JSON_FORMS),

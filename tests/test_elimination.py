@@ -4,7 +4,9 @@ The smoothness verdicts are checked against an independent oracle: an
 exhaustive singular-point search over F_p and F_{p^2}.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -17,7 +19,6 @@ from triforms.elimination import (
     _rank_bareiss,
     _sheared,
     bad_primes,
-    derive_normalization_constant,
     det_bareiss,
     det_mod_p,
     discriminant,
@@ -25,10 +26,8 @@ from triforms.elimination import (
     macaulay_resultant,
     normalization_constant,
     resultant_of_partials,
-    singular_points_fp2,
 )
 from triforms.errors import (
-    ConstantSupportError,
     DegreeError,
     MacaulayDegenerateError,
     ZeroInputError,
@@ -38,7 +37,7 @@ from triforms.matrices import Mat3, act_ternary
 from triforms.poly import MultiPoly, VARS_XYZ, parse_poly
 from triforms.suites import random_form, random_invertible
 
-from conftest import singular_points_fp
+from conftest import sampled_content, singular_points_fp, singular_points_fp2
 
 
 def test_bareiss_matches_cofactor_expansion(rng):
@@ -506,13 +505,15 @@ def test_smoothness_when_p_divides_the_degree(n, p, capsys):
     """Verdicts where the raw discriminant vanishes identically mod p.
 
     A True verdict has no singular point over F_p or F_{p^2}; for integer
-    forms of degree up to 4 every verdict is the nonvanishing of the
-    normalized discriminant mod p.  A False verdict is backed by a singular
-    point over F_{p^2} or, for p <= 3, F_{p^3}; singular points can lie in
-    larger extensions only, so the unbacked False verdicts are counted.
+    forms every verdict is the nonvanishing of the normalized discriminant
+    mod p, checked on every form up to degree 4 and on the first three of
+    each verdict above (a degree-6 discriminant over ZZ costs ~0.15 s).  A False verdict
+    is backed by a singular point over F_{p^2} or, for p <= 3, F_{p^3};
+    singular points can lie in larger extensions only, so the unbacked
+    False verdicts are counted.
     """
     rng = Random(4000 + 10 * n + p)
-    verdicts = []
+    verdicts, checked = [], Counter()
     beyond_fp2 = unbacked = 0
     for density in (1.0, 0.6, 0.3):
         for _ in range(24):
@@ -523,7 +524,7 @@ def test_smoothness_when_p_divides_the_degree(n, p, capsys):
             verdict = is_smooth_mod_p(f, p)
             assert verdict == is_smooth_mod_p(fbar, p)
             verdicts.append(verdict)
-            if n <= 4:
+            if n <= 4 or checked[verdict] < 3:
                 try:
                     normalized = discriminant(f).normalized
                 except MacaulayDegenerateError:
@@ -532,6 +533,7 @@ def test_smoothness_when_p_divides_the_degree(n, p, capsys):
                     normalized = None
                 if normalized is not None:
                     assert verdict == (normalized % p != 0)
+                    checked[verdict] += 1
             singular = singular_points_fp(fbar, p) or singular_points_fp2(fbar, p)
             if verdict:
                 assert not singular
@@ -540,6 +542,7 @@ def test_smoothness_when_p_divides_the_degree(n, p, capsys):
                 if not (p <= 3 and _has_singular_point_fp3(fbar, p)):
                     unbacked += 1
     assert True in verdicts and False in verdicts
+    assert set(checked) == {True, False}
     assert unbacked <= verdicts.count(False) // 4
     with capsys.disabled():
         print(f"[n={n} p={p}] {verdicts.count(False)} False verdicts: {beyond_fp2} with no "
@@ -609,21 +612,40 @@ def test_bad_primes_finds_odd_primes():
 # -- normalization constants ----------------------------------------------------------
 
 
-def test_builtin_constants_are_reproducible():
-    for n, expected in ((2, 2), (3, 27), (4, 16384)):
-        cached, meta = normalization_constant(n)
-        assert cached == expected
-        rederived, _ = derive_normalization_constant(n, samples=24, seed=555)
-        assert rederived == expected
+def test_closed_form_matches_the_sampled_content():
+    # Demazure's n^a against the gcd of seeded raw values, which knows no theory
+    for n, expected in ((2, 2), (3, 27), (4, 16384), (5, 5**13)):
+        constant, record = normalization_constant(n)
+        assert constant == expected == n ** record["exponent"]
+        assert sampled_content(n) == expected
 
 
-def test_normalization_constant_outside_builtin_range_refused():
+def test_normalization_constant_below_degree_2_refused():
     for n in (0, 1):
         with pytest.raises(DegreeError):
             normalization_constant(n)
-    for n in (5, 6):
-        with pytest.raises(ConstantSupportError):
-            normalization_constant(n)
+
+
+@pytest.mark.parametrize("n, forms", [(5, 3), (6, 2), (7, 1)])
+def test_normalized_times_constant_is_raw_beyond_degree_4(n, forms):
+    rng = Random(7000 + n)
+    for _ in range(forms):
+        f = _sparse_form(ZZ, rng, n, 0.5)
+        report = discriminant(f)
+        assert report.constant == n ** (((n - 1) ** 3 + 1) // n)
+        assert report.normalized * report.constant == report.raw
+
+
+def test_normalized_discriminants_are_primitive():
+    # the gcd of normalized values over a sample is 1: n^a is the whole content
+    rng = Random(7100)
+    for n in (2, 3, 4, 5):
+        content = 0
+        for _ in range(16):
+            report = discriminant(random_form(ZZ, rng, n, 6))
+            assert report.constant == n ** (((n - 1) ** 3 + 1) // n)
+            content = gcd(content, report.normalized)
+        assert content == 1
 
 
 def test_constant_divides_every_raw_value(rng):

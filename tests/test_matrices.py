@@ -10,6 +10,14 @@ from triforms.poly import parse_poly
 from triforms.suites import random_form, random_invertible, random_matrix
 
 
+def test_matrix_slots_cannot_be_deleted():
+    m = Mat3.identity(ZZ)
+    for slot in ("rows", "domain"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(m, slot)
+    assert m == Mat3.identity(ZZ)
+
+
 def test_det_identity():
     assert Mat3.identity(ZZ).det() == 1
 

@@ -46,6 +46,14 @@ def test_zero_absorbs():
     assert zero * f == zero
 
 
+def test_slots_cannot_be_deleted():
+    f = parse_poly("3*x^2 - y*z")
+    for slot in ("terms", "vars", "domain"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(f, slot)
+    assert f == parse_poly("3*x^2 - y*z")
+
+
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.name)
 def test_ring_axioms_random(dom, rng):
     for _ in range(40):
