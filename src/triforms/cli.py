@@ -11,10 +11,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from . import biquadratic, cubic, elimination, lattice
-from .domains import GF
+from .domains import GF, QQ, PrimeField
 from .errors import BudgetExceededError, ParseError, TriformsError
 from .matrices import Mat3, act_ternary, mat3_from_json
 from .poly import MultiPoly, parse_poly, poly_from_json
@@ -26,20 +27,28 @@ from .suites import DRAWS_PER_TRIAL, SUITE_NAMES, SuiteConfig, run_suite
 # branch-check point of P^2(F_p), ~18 us per lattice-enum grid cell) so that
 # an accepted input finishes in about 10 s: p <= 353 for branch-check,
 # box <= 81.  A branch-check point now costs ~2.3 us (0.6 s at p = 353); the
-# bound stays as it was.  generic has no budget: it scans no points, and took
-# 10-40 ms per class from p = 41 up to the largest prime a field accepts, just
-# below intutil.PRIME_PROOF_LIMIT (3.3 * 10**24); larger --mod values are
-# refused with kind "bad-prime".
+# bound stays as it was.  generic has no budget: it scans no points, and
+# deciding a class, one packed Macaulay elimination per sextic covariant,
+# took 7-9 ms at p = 41 to 10007, 27 ms at 2^61 - 1 and 34 ms at the largest
+# prime a field accepts, just below intutil.PRIME_PROOF_LIMIT (3.3 * 10**24);
+# larger --mod values are refused with kind "bad-prime".
 BRANCH_CHECK_MAX_POINTS = 250_000
 LATTICE_BOX_MAX_CELLS = 430_000
 
-# Largest degree of a form whose raw discriminant disc (every mode) and
-# good-reduction compute.  On the same box one raw ZZ discriminant took, at
-# degrees 7 / 8 / 9: 0.16 / 0.35 / 0.80 s for the Fermat form, 0.6 / 1.5 /
-# 4.4 s for a sparse form and 1.0 / 3.4 / 13 s for a dense one with
-# coefficients in [-9, 9]; the cost grows ~4x per degree.  A larger form is
-# refused before any resultant is computed.
-DISC_MAX_DEGREE = 8
+# Milliseconds one raw discriminant (Bareiss over ZZ) of a dense ternary n-ic
+# with coefficients in [-9, 9] took on the same box, rounded up; the cost
+# grows ~4-8x per degree, and a dense nonic took 13 s.  With coefficients of
+# h bits it grew about as ((h + 6) / 10)^2, measured from 1 to 100 digits at
+# degrees 4 to 8 (a sextic: 0.18 s at one digit, 2.2 s at 10, 5.7 s at 20,
+# 21 s at 40); the estimate was never below a measured time and up to 5x
+# above one (degree 4, 100 digits).  disc (every mode) and good-reduction
+# refuse a form above the table's degrees, or whose estimate is over
+# DISC_MAX_MS, before computing.  Over GF(p), disc --mod included, the
+# coefficients are residues and the form is charged as one with one-digit
+# coefficients.
+DISC_MS = {2: 1, 3: 1, 4: 3, 5: 25, 6: 200, 7: 900, 8: 3400}
+DISC_MAX_DEGREE = max(DISC_MS)
+DISC_MAX_MS = 10_000
 
 # Largest good-reduction --trial-bound.  The primes up to the bound stay in
 # memory for the life of the process; on the same box a first factoring at
@@ -47,17 +56,20 @@ DISC_MAX_DEGREE = 8
 TRIAL_BOUND_MAX = 10**7
 
 # Milliseconds one verify trial took on the same box, rounded up, so that an
-# accepted verify finishes in about VERIFY_MAX_MS.  disc-covariance is timed
-# by degree, the slower of ZZ and QQ (GF(p) trials are cheaper, 0.5-60 ms,
-# and are estimated at this cost too); a trial costs ~6x more per degree,
-# one at degree 8 took 17 s, over the bound on its own, so higher degrees
-# are refused outright.  Every other suite is timed over ZZ, QQ and GF(101),
-# at the slowest.  A branch-locus trial is charged once per prime: for the
-# DRAWS_PER_TRIAL classes it may draw (drawing one and testing it for
-# genericity took 4.8-6.4 ms on average at each prime from 3 to 353), plus
-# BRANCH_POINT_US per point of its scan (~2.3 us measured at p = 353).
-# lattice-enum runs once whatever --trials is.
-DISC_TRIAL_MS = {2: 1, 3: 3, 4: 15, 5: 150, 6: 900, 7: 9000}
+# accepted verify finishes in about VERIFY_MAX_MS.  A disc-covariance trial
+# computes two raw discriminants, charged through DISC_MS: of f, with
+# coefficients up to 5 (at most 5 bits over QQ once denominators are
+# cleared), and of gamma.f.  The coefficients of gamma.f reach about 4n + 10
+# bits, but most are far smaller; a QQ trial, the slower domain, cost about
+# what a dense form of height 3n + 4 does (measured at degrees 4 to 7; at
+# degree 7 one trial took 9.4-10.9 s against an estimate of 9.7 s; GF(p)
+# trials are cheaper and are charged the same).  Every
+# other suite is timed over ZZ, QQ and GF(101), at the slowest.  A
+# branch-locus trial is charged once per prime: for the DRAWS_PER_TRIAL
+# classes it may draw (drawing one and testing it for genericity took
+# 4.8-6.4 ms on average at each prime from 3 to 353), plus BRANCH_POINT_US
+# per point of its scan (~2.3 us measured at p = 353).  lattice-enum runs
+# once whatever --trials is.
 VERIFY_TRIAL_MS = {
     "euler": 1,
     "cubic-kappa": 1,
@@ -83,14 +95,35 @@ def _require_budget(command: str, cost: int, bound: int, unit: str) -> None:
         )
 
 
-def _require_disc_degree(command: str, f: MultiPoly) -> None:
-    """Refuse a form above DISC_MAX_DEGREE, charged by the rows of the
-    Macaulay matrix of its partials: the monomials of degree 3n - 5."""
+def _disc_cost_ms(n: int, bits: int) -> int:
+    """Estimated ms of one raw discriminant of an n-ic, 2 <= n <= DISC_MAX_DEGREE,
+    whose largest coefficient has ``bits`` bits (see DISC_MS)."""
+    return -(-DISC_MS[n] * (bits + 6) ** 2 // 100)
 
-    def rows(n):
-        return (3 * n - 4) * (3 * n - 3) // 2
 
-    _require_budget(command, rows(f.total_degree() or 0), rows(DISC_MAX_DEGREE), "Macaulay rows")
+def _height_bits(f: MultiPoly) -> int:
+    """Bits of the largest coefficient of f, over QQ once the denominators are
+    cleared; 4, as for one-digit coefficients, over GF(p)."""
+    coeffs = f.terms.values()
+    if isinstance(f.domain, PrimeField):
+        return 4
+    if f.domain == QQ:
+        common = lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (common // c.denominator) for c in coeffs]
+    return max((abs(c).bit_length() for c in coeffs), default=0)
+
+
+def _require_disc_budget(command: str, f: MultiPoly) -> None:
+    """Refuse a form whose raw discriminant is over DISC_MAX_MS by its degree
+    and coefficient height, before any resultant is computed."""
+    n = f.total_degree() or 0
+    if n > DISC_MAX_DEGREE:
+        raise BudgetExceededError(
+            f"{command} computes discriminants up to degree {DISC_MAX_DEGREE}, got {n}"
+        )
+    if n >= 2:
+        cost = _disc_cost_ms(n, _height_bits(f))
+        _require_budget(command, cost, DISC_MAX_MS, "ms of estimated work")
 
 
 def _emit(data) -> None:
@@ -113,7 +146,7 @@ def _read_matrix(path: str, domain) -> Mat3:
 
 def _cmd_disc(args) -> int:
     f = _read_form(args.form, args.mod)
-    _require_disc_degree("disc", f)
+    _require_disc_budget("disc", f)
     if args.mod is not None or args.raw:
         raw = elimination.resultant_of_partials(f)
         report = {
@@ -132,7 +165,7 @@ def _cmd_disc(args) -> int:
 def _cmd_good_reduction(args) -> int:
     _require_budget("good-reduction", args.trial_bound, TRIAL_BOUND_MAX, "sieve entries")
     f = _read_form(args.form)
-    _require_disc_degree("good-reduction", f)
+    _require_disc_budget("good-reduction", f)
     s = set(args.s_set)
     bad, cofactor = elimination.bad_primes(f, s, args.trial_bound)
     _emit(
@@ -251,7 +284,13 @@ def _cmd_verify(args) -> int:
     if args.suite == "disc-covariance":
         # degrees below 2 are refused by the suite itself, with kind "degree";
         # a trial above the table's degrees is over the bound on its own
-        per_trial = DISC_TRIAL_MS.get(args.degree, VERIFY_MAX_MS + 1) if args.degree >= 2 else 0
+        n = args.degree
+        if n > DISC_MAX_DEGREE:
+            per_trial = VERIFY_MAX_MS + 1
+        elif n >= 2:
+            per_trial = _disc_cost_ms(n, 5) + _disc_cost_ms(n, 3 * n + 4)
+        else:
+            per_trial = 0
     elif args.suite == "branch-locus":
         per_trial = sum(
             VERIFY_TRIAL_MS[args.suite] + -(-_plane_points(p) * BRANCH_POINT_US // 1000)

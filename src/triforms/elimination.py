@@ -20,27 +20,31 @@ homogeneous of degree 3(n-1)^2 in the coefficients; dividing by the content
 of that integer polynomial, n^a with a = ((n-1)^3 + 1)/n (Demazure), gives
 the primitive normalization.
 
-The rows of M and M' are built straight from the forms' terms, as
-(column, coefficient) pairs of their nonzero entries.  Determinants are
-fraction-free Bareiss over the integers, on those rows made dense, and,
-over prime fields, row elimination on the same rows packed into one Python
-integer each, from coefficients reduced mod p once per form.
+Over the integers the rows of M and M' are built from the forms' terms,
+as (column, coefficient) pairs made dense, and their determinants are
+fraction-free Bareiss.  Over prime fields every elimination reads one
+packed layout per degree tuple (``_layout``): each form is packed into one
+Python integer, w bits a field, column (a, b, c) in field b(D + 1) + c,
+and each row of the Macaulay matrix is a shift of its form.  M is those
+rows, M' the same rows masked to its columns; rows and columns are both in
+field order, so neither determinant changes.  ``_eliminate_mod_p`` reduces
+them row by row, and scales each pivot row with every field reduced at
+once by division by an invariant integer (Granlund-Montgomery), a few
+big-integer operations per pivot whatever the field width.
 
 Smoothness mod p needs no value, only whether the partials (with the form
 itself when p divides the degree) have a common zero over F_p-bar, and
 that is a rank certificate: forms with no common zero span every form of
-degree d1 + d2 + d3 - 2 (Macaulay).  The same packed elimination decides
-it, with each row a shift of one packed form; it has no degenerate case,
-so no shear retry, content witness or point scan is involved.  Over GF(p)
-it also settles the resultant when every retry degenerates: forms with a
-common zero have resultant 0.  Over ZZ and QQ the same case is settled by
-the exact rank of the same Macaulay rows, from fraction-free elimination.
+degree d1 + d2 + d3 - 2 (Macaulay).  The same packed layout and
+elimination decide it; it has no degenerate case, so no shear retry,
+content witness or point scan is involved.  Over GF(p) it also settles the
+resultant when every retry degenerates: forms with a common zero have
+resultant 0.  Over ZZ and QQ the same case is settled by the exact rank of
+the same Macaulay rows, from fraction-free elimination.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -95,54 +99,62 @@ def det_bareiss(rows: list[list[int]]) -> int:
 def det_mod_p(rows: list[list[int]], p: int) -> int:
     """Determinant over F_p of an integer matrix given as dense rows.
 
-    The input is read, not modified.
+    The input is read, not modified: each row is reduced mod p and packed
+    into one integer for ``_eliminate_mod_p``.
     """
-    return _det_sparse_mod_p([[(j, a % p) for j, a in enumerate(row) if a] for row in rows], p)
-
-
-def _det_sparse_mod_p(rows: list[list[tuple[int, int]]], p: int) -> int:
-    """Determinant over F_p of a square matrix given row by row as
-    (column, entry) pairs, each entry in [0, p), by ``_eliminate_mod_p`` on
-    the rows packed into integers."""
     n = len(rows)
     w = _field_width(n, p)
-    packed = [sum(a << (j * w) for j, a in row) for row in rows]
+    packed = [sum((a % p) << (j * w) for j, a in enumerate(row)) for row in rows]
     return _eliminate_mod_p(packed, p, w, [1] * n)
-
-
-# Field widths at which a packed row is read as a machine array.
-_ARRAY_CODES = {8 * array(code).itemsize: code for code in "HIQ"}
 
 
 def _field_width(steps: int, p: int) -> int:
     """Bits per field of a packed row that takes up to ``steps`` updates.
 
     A field starts below p and each update adds less than p*p, so it stays
-    below steps*p*p.  A width up to 32 bits is rounded up to 16 or 32, so
-    the pivot row is scaled through an array; rounding a wider one up to 64
-    bits made the rows' arithmetic slower than the array saves.
+    below steps*p*p; one guard bit above that keeps every field below
+    2^(w-1), the range in which ``_scaled`` reduces it.
     """
-    w = (max(steps, 1) * p * p).bit_length()
-    return next((wide for wide in (16, 32) if w <= wide), w)
+    return (max(steps, 1) * p * p).bit_length() + 1
+
+
+@lru_cache(maxsize=256)
+def _reducer(p: int, w: int, slots: int) -> tuple[int, int, int, int]:
+    """Constants that reduce every field of a packed row mod p at once.
+
+    Division by an invariant integer (Granlund and Montgomery, PLDI 1994):
+    with s = (w - 1) + bitlen(p) and m = ceil(2^s / p), floor(x m / 2^s)
+    = floor(x / p) for 0 <= x < 2^(w-1), and x m < 2^(2w).  So when every
+    other field of a row is spread into a 2w-bit slot, one product by m
+    holds each slot's x m without a carry into the next.  Returns s, m and,
+    over ``slots`` slots, the mask of each slot's low w bits and that of
+    the 2w - s bits that hold floor(x m / 2^s) after the shift by s.
+    """
+    s = w - 1 + p.bit_length()
+    ones = ((1 << (2 * w * slots)) - 1) // ((1 << (2 * w)) - 1)  # bit 0 of every slot
+    return s, -(-(1 << s) // p), ones * ((1 << w) - 1), ones * ((1 << (2 * w - s)) - 1)
 
 
 def _scaled(row: int, inv: int, p: int, w: int) -> int:
-    """The packed row with each field reduced mod p and multiplied by inv."""
-    code = _ARRAY_CODES.get(w)
-    if code is None:
-        mask = (1 << w) - 1
-        out, shift = 0, 0
-        while row:
-            a = row & mask
-            if a:
-                out |= (a * inv % p) << shift
-            row >>= w
-            shift += w
-        return out
-    # bytes written and read in native order make each array item one field
-    size = -(-row.bit_length() // w) * (w // 8)
-    fields = array(code, [a * inv % p for a in array(code, row.to_bytes(size, sys.byteorder))])
-    return int.from_bytes(fields.tobytes(), sys.byteorder)
+    """The packed row with each field reduced mod p and multiplied by inv.
+
+    Every field must be below 2^(w-1), and so must p*p, as a width from
+    ``_field_width`` ensures.  The even and the odd fields, each spread into
+    2w-bit slots, are reduced by x - p*floor(x/p), with the quotient of
+    every slot from one product (see ``_reducer``); then multiplied by inv
+    and reduced again.  The work is a few big-integer operations whatever
+    the width, not one per field.  The masks cover a power of two of
+    slots, so few are cached.
+    """
+    slots = -(-row.bit_length() // (2 * w))
+    s, m, fields, quotients = _reducer(p, w, 1 << (slots - 1).bit_length() if slots else 1)
+
+    def reduced(x):
+        return x - p * (((x * m) >> s) & quotients)
+
+    even = reduced(reduced(row & fields) * inv)
+    odd = reduced(reduced((row >> w) & fields) * inv)
+    return even | (odd << w)
 
 
 def _eliminate_mod_p(rows: list[int], p: int, w: int, gaps, spare=()) -> int:
@@ -307,6 +319,86 @@ def _dense(rows: list[list[tuple[int, int]]]) -> list[list[int]]:
     return out
 
 
+@dataclass(frozen=True)
+class _PackedLayout:
+    """Where the Macaulay rows of forms of degrees d1, d2, d3 (and more) sit
+    in a packed row, in degree D = d1 + d2 + d3 - 2.
+
+    Column (a, b, c) is field b*stride + c, stride = D + 1, so the multiple
+    of a form by x^i y^j z^k is the packed form shifted up by j*stride + k
+    fields, and fields with b + c > D are holes.  ``rows`` holds, as (form,
+    shift) pairs in column order, the rows of the classical matrix: the row
+    of a monomial m is m / v^d_v times the form of the first variable v
+    with m_v >= d_v.  For three forms of equal degree d, D is the critical
+    degree 3(d - 1) + 1 and these rows make the square matrix M, with rows
+    and columns both in field order.  ``gaps`` are the distances in fields
+    from each column to the next, as ``_eliminate_mod_p`` reads them.
+    ``spare`` holds every other multiple of every form.  ``minor_rows`` are
+    the indices in ``rows`` of the monomials divisible by at least two of
+    x^d1, y^d2, z^d3, the rows and columns of M'; ``minor_columns`` are
+    their fields and ``minor_gaps`` the gaps between them.
+    """
+
+    stride: int
+    rows: tuple[tuple[int, int], ...]
+    gaps: tuple[int, ...]
+    spare: tuple[tuple[int, int], ...]
+    minor_rows: tuple[int, ...]
+    minor_columns: tuple[int, ...]
+    minor_gaps: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _layout(degrees: tuple[int, ...]) -> _PackedLayout:
+    """The packed layout of forms of these degrees, the first three the largest."""
+    top = degrees[:3]
+    D = sum(top) - 2
+    stride = D + 1
+    rows, gaps, minor_rows, minor_columns = [], [], [], []
+    for b in range(D + 1):
+        for c in range(D + 1 - b):
+            m = (D - b - c, b, c)
+            v = next(v for v in range(3) if m[v] >= top[v])
+            rows.append((v, (b - top[1] * (v == 1)) * stride + c - top[2] * (v == 2)))
+            gaps.append(1 if c < D - b else b + 1)
+            if sum(e >= d for e, d in zip(m, top)) >= 2:
+                minor_rows.append(len(rows) - 1)
+                minor_columns.append(b * stride + c)
+    classical = set(rows)
+    spare = tuple(
+        (g, b * stride + c)
+        for g, degree in enumerate(degrees)
+        for b in range(D - degree + 1)
+        for c in range(D - degree - b + 1)
+        if (g, b * stride + c) not in classical
+    )
+    minor_gaps = tuple(b - a for a, b in zip(minor_columns, minor_columns[1:]))
+    minor_gaps += (1,) if minor_columns else ()
+    return _PackedLayout(
+        stride, tuple(rows), tuple(gaps), spare, tuple(minor_rows), tuple(minor_columns), minor_gaps
+    )
+
+
+def _pack(layout: _PackedLayout, terms, w: int) -> list[int]:
+    """Each form packed into one integer, from its ((a, b, c), coefficient)
+    pairs, coefficients in [0, p)."""
+    stride = layout.stride
+    return [sum(coeff << ((b * stride + c) * w) for (_, b, c), coeff in t) for t in terms]
+
+
+def _shifted(packed: list[int], pairs, w: int) -> list[int]:
+    """The rows named by (form, shift) pairs, each a shift of a packed form."""
+    return [packed[g] << (shift * w) for g, shift in pairs]
+
+
+def _minor_packed_rows(layout: _PackedLayout, rows: list[int], w: int) -> list[int]:
+    """The rows of M', from the rows of M masked to its columns, with its
+    first column moved to field 0."""
+    mask = sum(((1 << w) - 1) << (j * w) for j in layout.minor_columns)
+    low = layout.minor_columns[0] * w
+    return [(rows[i] & mask) >> low for i in layout.minor_rows]
+
+
 _SHEAR_TABLE = (
     (1, 0, 0, 1, 0, 0),
     (0, 1, 0, 0, 1, 0),
@@ -333,27 +425,30 @@ def _unimodular(attempt: int) -> list[list[int]]:
 def _quotient(plan, forms, p: int | None) -> int | None:
     """det(M)/det(M') over ZZ (p None) or GF(p), or None when det(M') = 0.
 
-    Over ZZ the rows are densified for Bareiss; over GF(p) each form's
-    coefficients are reduced mod p once and the rows are packed from them.
+    Over ZZ the rows are densified for Bareiss.  Over GF(p) (coefficients
+    in [0, p)) each form is packed once; the rows of M are its shifts, in
+    the packed layout, and those of M' the same rows masked to the columns
+    of M'.  Rows and columns are both in field order there, a common
+    permutation of the monomial order, so neither determinant changes.
     """
-    if p is None:
-        terms = [list(g.terms.items()) for g in forms]
-    else:
-        terms = [[(e, c % p) for e, c in g.terms.items()] for g in forms]
-
-    def det(minor):
-        rows = _sparse_rows(plan, terms, minor)
-        return det_bareiss(_dense(rows)) if p is None else _det_sparse_mod_p(rows, p)
-
+    if p is not None:
+        layout = _layout((plan.degree,) * 3)
+        w = _field_width(len(layout.gaps), p)
+        rows = _shifted(_pack(layout, [g.terms.items() for g in forms], w), layout.rows, w)
+        dprime = 1
+        if layout.minor_rows:
+            minor = _minor_packed_rows(layout, rows, w)
+            dprime = _eliminate_mod_p(minor, p, w, layout.minor_gaps)
+            if dprime == 0:
+                return None
+        return _eliminate_mod_p(rows, p, w, layout.gaps) * pow(dprime, p - 2, p) % p
+    terms = [list(g.terms.items()) for g in forms]
     dprime = 1
     if plan.nonreduced:
-        dprime = det(True)
+        dprime = det_bareiss(_dense(_sparse_rows(plan, terms, True)))
         if dprime == 0:
             return None
-    dfull = det(False)
-    if p is not None:
-        return dfull * pow(dprime, p - 2, p) % p
-    quotient, remainder = divmod(dfull, dprime)
+    quotient, remainder = divmod(det_bareiss(_dense(_sparse_rows(plan, terms, False))), dprime)
     if remainder:
         raise ArithmeticError("Macaulay quotient failed to divide exactly")
     return quotient
@@ -557,45 +652,16 @@ def _no_common_zero_mod_p(forms, p: int) -> bool:
     degree D = d1 + d2 + d3 - 2.  Rank over F_p is rank over F_p-bar, so
     the test is the full column rank mod p of that Macaulay matrix.
 
-    Column (a, b, c) sits in field b*(D + 1) + c of a packed row, so the
-    multiple of a form by x^i y^j z^k is the packed form shifted left by
-    j*(D + 1) + k fields; fields with b + c > D are holes.  The rows of the
-    classical square matrix (the row of a monomial m is m / v^d_v times the
-    form of the first variable v with m_v >= d_v) are eliminated first; the
-    other multiples are spare rows, brought in only when a column has no
+    The rows are shifts of the packed forms, in the ``_layout`` of their
+    degrees.  The rows of the classical square matrix are eliminated first;
+    the other multiples are spare rows, brought in only when a column has no
     pivot (for instance when the extraneous factor det M' vanishes).
     """
-    degrees = [degree for degree, _ in forms]
-    top = degrees[:3]
-    D = sum(top) - 2
-    stride = D + 1
-    columns = (D + 1) * (D + 2) // 2
-    w = _field_width(columns, p)
-    packed = [
-        sum(coeff << ((b * stride + c) * w) for (_, b, c), coeff in terms) for _, terms in forms
-    ]
-
-    def multiple(g, b, c):
-        """The row of y^b z^c x^(D - degree - b - c) times form g."""
-        return packed[g] << ((b * stride + c) * w)
-
-    rows, classical, gaps = [], set(), []
-    for b in range(D + 1):
-        for c in range(D + 1 - b):
-            m = (D - b - c, b, c)
-            v = next(v for v in range(3) if m[v] >= top[v])
-            key = (v, b - top[1] * (v == 1), c - top[2] * (v == 2))
-            classical.add(key)
-            rows.append(multiple(*key))
-            gaps.append(1 if c < D - b else b + 1)
-    spare = [
-        multiple(g, b, c)
-        for g, degree in enumerate(degrees)
-        for b in range(D - degree + 1)
-        for c in range(D - degree - b + 1)
-        if (g, b, c) not in classical
-    ]
-    return _eliminate_mod_p(rows, p, w, gaps, spare) != 0
+    layout = _layout(tuple(degree for degree, _ in forms))
+    w = _field_width(len(layout.gaps), p)
+    packed = _pack(layout, [terms for _, terms in forms], w)
+    rows, spare = _shifted(packed, layout.rows, w), _shifted(packed, layout.spare, w)
+    return _eliminate_mod_p(rows, p, w, layout.gaps, spare) != 0
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:

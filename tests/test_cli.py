@@ -4,12 +4,18 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from triforms import cli
+from triforms.domains import QQ, ZZ
+from triforms.elimination import _monomials
 from triforms.intutil import PRIME_PROOF_LIMIT
+from triforms.poly import VARS_XYZ, MultiPoly
+from triforms.suites import random_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -69,6 +75,49 @@ def test_disc_degree_over_its_bound_refused(args, tmp_path, capsys):
     assert cli.main([args[0], "--form", str(form), *args[1:]]) == 1
     assert time.perf_counter() - start < 0.2
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "budget"
+
+
+def _tall_sextic(domain):
+    """A dense sextic with 100-digit coefficients; over QQ, numerators below
+    10 over 100-digit denominators, which are as tall once cleared."""
+    rng = Random(100)
+    if domain == "ZZ":
+        return str(random_form(ZZ, rng, 6, 10**100))
+    terms = {m: Fraction(rng.randint(1, 9), 10**99 + rng.randrange(10**99)) for m in _monomials(6)}
+    return str(MultiPoly(QQ, VARS_XYZ, terms))
+
+
+@pytest.mark.parametrize("domain", ["ZZ", "QQ"])
+@pytest.mark.parametrize("args", [["disc"], ["disc", "--raw"], ["good-reduction"]],
+                         ids=["disc", "disc-raw", "good-reduction"])
+def test_disc_of_a_tall_sextic_refused(args, domain, tmp_path, capsys):
+    # its raw discriminant takes minutes; the bound reads the coefficients'
+    # height and refuses before computing
+    form = tmp_path / "form.txt"
+    form.write_text(_tall_sextic(domain))
+    start = time.perf_counter()
+    assert cli.main([args[0], "--form", str(form), *args[1:]]) == 1
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "budget"
+
+
+def test_disc_mod_p_of_a_tall_sextic_answers(tmp_path, capsys):
+    # reduced mod p first, its height costs nothing
+    form = tmp_path / "form.txt"
+    form.write_text(_tall_sextic("ZZ"))
+    assert cli.main(["disc", "--form", str(form), "--mod", "10007", "--raw"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"raw", "degree_check", "mod"}
+
+
+def test_one_digit_octics_still_answer(tmp_path, capsys):
+    # a dense one-digit octic (~3 s) is within both commands' bound
+    dense = random_form(ZZ, Random(8), 8, 9)
+    for command in ("disc", "good-reduction"):
+        cli._require_disc_budget(command, dense)
+    form = tmp_path / "form.txt"
+    form.write_text("x^8 + y^8 + z^8\n")
+    assert cli.main(["disc", "--form", str(form)]) == 0
+    assert json.loads(capsys.readouterr().out)["constant"] == str(8**43)
 
 
 def test_good_reduction_fermat4():

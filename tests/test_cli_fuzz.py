@@ -3,20 +3,24 @@
 Whatever the arguments, ``cli.main`` returns 0, 1 or 2 without raising,
 prints one JSON object on stdout for 0 and 1, and never leaks a traceback.
 The generated inputs mix well-formed and malformed forms, matrices, primes
-(composite, 2, huge, beyond the primality-proof limit), weights and sizes;
-the examples are derandomized, so every run draws the same ones.
+(composite, 2, huge, beyond the primality-proof limit), weights and sizes.
+About half the examples are well-formed calls of the commands that compute
+(disc, good-reduction, cubic-invariants, generic), so the algebra behind
+them is fuzzed too, not only the parsing in front of it; the examples are
+derandomized, so every run draws the same ones.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import count
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from triforms import cli
+from triforms import cli, elimination
 from triforms.intutil import PRIME_PROOF_LIMIT
 
 PRIMES = [
@@ -46,6 +50,16 @@ def monomial_forms(draw, variables, max_degree):
     return " + ".join(terms)
 
 
+def _sum(terms) -> str:
+    """The text of a sum of (scalar, monomial) terms, signs written as the
+    parser wants them: "a - b", never "a + -b"."""
+    text = ""
+    for scalar, monomial in terms:
+        sign, scalar = ("-", scalar[1:]) if scalar.startswith("-") else ("+", scalar)
+        text += f" {sign} {scalar}*{monomial}" if text else f"{sign}{scalar}*{monomial}"
+    return text.removeprefix("+")
+
+
 @st.composite
 def biquadratic_forms(draw):
     """(2,2) forms, from sparse to dense, with small integer coefficients."""
@@ -55,10 +69,9 @@ def biquadratic_forms(draw):
             for c in range(3):
                 for d in range(c, 3):
                     if draw(st.booleans()):
-                        factors = [draw(st.integers(-3, 3)), *(BIQUAD[i] for i in (a, b))]
-                        factors += [BIQUAD[3 + i] for i in (c, d)]
-                        terms.append("*".join(map(str, factors)))
-    return " + ".join(terms)
+                        monomial = "*".join(BIQUAD[i] for i in (a, b, 3 + c, 3 + d))
+                        terms.append((str(draw(st.integers(-3, 3))), monomial))
+    return _sum(terms)
 
 
 JSON_FORMS = [
@@ -146,6 +159,43 @@ def invocations(draw):
     return [command, *args], files
 
 
+@st.composite
+def ternary_forms(draw, degrees):
+    """Well-formed homogeneous ternary forms: small integer or rational
+    coefficients on up to ten monomials of one degree."""
+    degree = draw(st.sampled_from(degrees))
+    terms = []
+    for _ in range(draw(st.integers(1, 10))):
+        a = draw(st.integers(0, degree))
+        b = draw(st.integers(0, degree - a))
+        monomial = "*".join(f"{v}^{e}" for v, e in zip(TERNARY, (a, b, degree - a - b)) if e)
+        terms.append((draw(st.sampled_from(SCALARS[1:7])), monomial))
+    return _sum(terms)
+
+
+GOOD_PRIMES = ["2", "3", "5", "7", "11", "13", "101", "10007"]
+
+
+@st.composite
+def algebra_invocations(draw):
+    """Well-formed calls of the commands that compute, with their files."""
+    command = draw(st.sampled_from(["disc", "good-reduction", "cubic-invariants", "generic"]))
+    if command == "disc":
+        files = {"FORM": draw(ternary_forms(range(2, 6)))}
+        args = ["--mod", draw(st.sampled_from(GOOD_PRIMES))] if draw(st.booleans()) else []
+        args += ["--raw"] if draw(st.booleans()) else []
+    elif command == "good-reduction":
+        files = {"FORM": draw(ternary_forms(range(2, 5)))}
+        args = ["--s-set", draw(st.sampled_from(["", "2", "2,3"])), "--trial-bound", "1000"]
+    elif command == "cubic-invariants":
+        files = {"FORM": draw(ternary_forms([3]))}
+        args = []
+    else:
+        files = {"FORM": draw(biquadratic_forms())}
+        args = ["--mod", draw(st.sampled_from(GOOD_PRIMES[1:]))]
+    return [command, "--form", "FORM", *args], files
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -153,32 +203,51 @@ def workdir(tmp_path_factory):
 
 _RUN = count()
 
+# Examples (of 250) in which a command computes a raw discriminant; about 4
+# did when every example was drawn at random.
+RESULTANT_FLOOR = 100
 
-@settings(
-    derandomize=True,
-    max_examples=250,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-)
-@given(invocations())
-def test_cli_contract_holds_for_any_arguments(workdir, capsys, invocation):
-    argv, files = invocation
-    run = next(_RUN)
-    paths = {}
-    for name, text in files.items():
-        path = workdir / f"{name.lower()}{run}.txt"
-        path.write_text(text)
-        paths[name] = str(path)
-    argv = [paths.get(a, a) for a in argv]
-    code = cli.main(argv)
-    out, err = capsys.readouterr()
-    assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err
-    if code in (0, 1):
-        lines = out.splitlines()
-        assert len(lines) == 1, (argv, out)
-        data = json.loads(lines[0])
-        assert isinstance(data, dict)
-        if code == 1 and argv[0] != "verify":
-            assert set(data) == {"error"} and data["error"]["kind"], (argv, data)
+
+def test_cli_contract_holds_for_any_arguments(workdir, capsys, monkeypatch):
+    calls = Counter()
+    original = elimination.resultant_of_partials
+
+    def counting(f):
+        calls["now"] += 1
+        return original(f)
+
+    monkeypatch.setattr(elimination, "resultant_of_partials", counting)
+
+    @settings(
+        derandomize=True,
+        max_examples=250,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(st.booleans().flatmap(lambda algebra: algebra_invocations() if algebra else invocations()))
+    def contract(invocation):
+        argv, files = invocation
+        run = next(_RUN)
+        paths = {}
+        for name, text in files.items():
+            path = workdir / f"{name.lower()}{run}.txt"
+            path.write_text(text)
+            paths[name] = str(path)
+        argv = [paths.get(a, a) for a in argv]
+        calls["now"] = 0
+        code = cli.main(argv)
+        calls["reached"] += calls["now"] > 0
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        if code in (0, 1):
+            lines = out.splitlines()
+            assert len(lines) == 1, (argv, out)
+            data = json.loads(lines[0])
+            assert isinstance(data, dict)
+            if code == 1 and argv[0] != "verify":
+                assert set(data) == {"error"} and data["error"]["kind"], (argv, data)
+
+    contract()
+    assert calls["reached"] >= RESULTANT_FLOOR, calls

@@ -14,10 +14,19 @@ import pytest
 from triforms.domains import GF, QQ, ZZ
 from triforms.elimination import (
     _common_zero_over_qbar,
+    _dense,
+    _field_width,
+    _layout,
+    _lift,
+    _minor_packed_rows,
+    _pack,
     _plan,
     _quotient,
     _rank_bareiss,
+    _scaled,
+    _shifted,
     _sheared,
+    _sparse_rows,
     bad_primes,
     det_bareiss,
     det_mod_p,
@@ -91,21 +100,30 @@ def test_det_mod_p_macaulay_size():
         assert det_mod_p(rows, p) == det_bareiss([row[:] for row in rows]) % p
 
 
-@pytest.mark.parametrize("w", [16, 32, 64, 37])
-def test_scaled_pivot_reduces_every_field(w):
-    # widths 16, 32 and 64 go through a machine array, others field by field
-    from triforms.elimination import _scaled
+@pytest.mark.parametrize("p", [2, 3, 11, 251, 10007, 65521, 2**61 - 1])
+def test_scaled_pivot_reduces_every_field(p):
+    # every field below 2^(w-1), at the widths _field_width gives for
+    # eliminations of 1 to 1000 steps, the extreme values included
+    rng = Random(p % 100_003)
+    for steps in (1, 2, 7, 105, 1000):
+        w = _field_width(steps, p)
+        top = 2 ** (w - 1) - 1
+        for _ in range(8):
+            count = rng.randrange(1, 160)
+            fields = [rng.choice((0, top, rng.randrange(top + 1))) for _ in range(count)]
+            row = sum(a << (j * w) for j, a in enumerate(fields))
+            inv = rng.randrange(1, p)
+            expected = sum((a * inv % p) << (j * w) for j, a in enumerate(fields))
+            assert _scaled(row, inv, p, w) == expected
 
-    rng = Random(w)
-    for p in (3, 251, 65521):
-        if p * p > 2**w:
-            continue
-        count = rng.randrange(1, 60)
-        fields = [rng.randrange(2**w) if rng.random() < 0.8 else 0 for _ in range(count)]
-        row = sum(a << (j * w) for j, a in enumerate(fields))
-        inv = rng.randrange(1, p)
-        expected = sum((a * inv % p) << (j * w) for j, a in enumerate(fields))
-        assert _scaled(row, inv, p, w) == expected
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scaled_reduces_every_field_value_at_width_6(p):
+    # all 32 values a field may hold at w = 6, in one row, by every unit
+    fields = list(range(32))
+    row = sum(a << (6 * j) for j, a in enumerate(fields))
+    for inv in range(1, p):
+        assert _scaled(row, inv, p, 6) == sum((a * inv % p) << (6 * j) for j, a in enumerate(fields))
 
 
 def _reference_rows(plan, forms, subset=None):
@@ -126,22 +144,56 @@ def _reference_rows(plan, forms, subset=None):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 10007, 2**61 - 1])
 def test_rows_from_terms_match_dense_rows(p):
-    from triforms.elimination import _dense, _det_sparse_mod_p, _plan, _quotient, _sparse_rows
-
+    # the integer path's rows, on the least-residue lifts of GF(p) forms;
+    # up to d = 3, where the GF(p) quotient is defined, the integer one
+    # reduces to it (Bareiss on 61-bit lifts takes seconds at d = 5)
     rng = Random(p % 1000)
     for d in range(1, 6):
         plan = _plan(d)
         for _ in range(3 if d < 5 else 1):
             forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
-            terms = [list(g.terms.items()) for g in forms]
-            dets = {}
+            lifts = tuple(_lift(g) for g in forms)
+            terms = [list(g.terms.items()) for g in lifts]
             for minor, subset in ((True, plan.nonreduced), (False, None)):
-                dense = _reference_rows(plan, forms, subset)
-                rows = _sparse_rows(plan, terms, minor)
-                assert _dense(rows) == dense
-                dets[minor] = det_mod_p(dense, p)
-                assert _det_sparse_mod_p(rows, p) == dets[minor]
-            expected = None if dets[True] == 0 else dets[False] * pow(dets[True], -1, p) % p
+                dense = _reference_rows(plan, lifts, subset)
+                assert _dense(_sparse_rows(plan, terms, minor)) == dense
+            expected = _quotient(plan, forms, p) if d <= 3 else None
+            if expected is not None:
+                assert _quotient(plan, lifts, None) % p == expected
+
+
+def _unpacked(row, positions, w):
+    """The fields of a packed row at the given positions; none may be set elsewhere."""
+    fields = [(row >> (j * w)) & ((1 << w) - 1) for j in positions]
+    assert row == sum(a << (j * w) for j, a in zip(positions, fields))
+    return fields
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 10007, 2**61 - 1])
+def test_shift_built_rows_match_reference_rows_in_field_order(p):
+    # M and M' built by shifting packed forms are the reference matrices
+    # with rows and columns both in field order (b, then c, ascending), and
+    # the GF(p) quotient is the one of the dense reference matrices
+    rng = Random(500 + p % 1000)
+    for d in range(1, 6):
+        plan, layout = _plan(d), _layout((d, d, d))
+        w = _field_width(len(layout.gaps), p)
+        field = {i: layout.stride * b + c for i, (_, b, c) in enumerate(plan.monomials)}
+        full = sorted(field, key=field.get)
+        reduced = [i for i in full if i in plan.nonreduced]
+        for _ in range(3 if d < 5 else 1):
+            forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
+            rows = _shifted(_pack(layout, [g.terms.items() for g in forms], w), layout.rows, w)
+            minor = _minor_packed_rows(layout, rows, w) if reduced else []
+            dense = _reference_rows(plan, forms)
+            dets = []
+            for built, ids in ((rows, full), (minor, reduced)):
+                reference = [[dense[i][j] for j in ids] for i in ids]
+                low = field[ids[0]] if ids else 0
+                assert [_unpacked(r, [field[j] - low for j in ids], w) for r in built] == reference
+                dets.append(det_mod_p(reference, p))
+            full_det, minor_det = dets
+            expected = None if minor_det == 0 else full_det * pow(minor_det, -1, p) % p
             assert _quotient(plan, forms, p) == expected
 
 
