@@ -1,4 +1,4 @@
-"""Golden outputs of the mod-p kernels, pinned by hash.
+"""Golden outputs of the elimination kernels, pinned by hash.
 
 A seeded sweep of GF(p) raw discriminants (degrees 2 to 6), smoothness
 verdicts and genericity verdicts at a spread of primes, from characteristic
@@ -6,6 +6,12 @@ verdicts and genericity verdicts at a spread of primes, from characteristic
 before the packed mod-p elimination was rewritten, so any change to the
 kernels that moves one value shows here, even one that every identity
 test would miss.
+
+A second sweep pins the integer outputs the same way: raw and normalized
+ZZ and QQ discriminants (degrees 2 to 6, dense and sparse), resultants of
+integer triples (degrees 1 to 4), bad-prime profiles, and a quartic whose
+every shear retry degenerates.  Its hash was taken before the integer
+quotient was moved onto the packed layout's rows.
 """
 
 from __future__ import annotations
@@ -14,14 +20,21 @@ import hashlib
 from random import Random
 
 from triforms.biquadratic import is_generic_mod_p
-from triforms.domains import GF, ZZ
-from triforms.elimination import is_smooth_mod_p, resultant_of_partials
+from triforms.domains import GF, QQ, ZZ
+from triforms.elimination import (
+    bad_primes,
+    discriminant,
+    is_smooth_mod_p,
+    macaulay_resultant,
+    resultant_of_partials,
+)
 from triforms.errors import TriformsError
-from triforms.poly import MultiPoly
+from triforms.poly import MultiPoly, parse_poly
 from triforms.suites import random_form, random_form22
 
 GOLDEN_PRIMES = (2, 3, 5, 11, 13, 10007, 2**61 - 1)
 GOLDEN_SHA256 = "f1226fca54756da0aed51bf05ca1d8df969e6302c4090cf53e014ac2032f29eb"
+INTEGER_GOLDEN_SHA256 = "c9d2b4c46f62c6062c72584ad8c58c21bd31f309e1e3ff8596023e604a21bb01"
 
 
 def _sparse(f: MultiPoly, rng: Random) -> MultiPoly:
@@ -54,3 +67,38 @@ def golden_lines():
 def test_mod_p_kernels_match_their_golden_hash():
     digest = hashlib.sha256("\n".join(golden_lines()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def _disc(f: MultiPoly) -> str:
+    report = discriminant(f)
+    return f"{report.raw} {report.normalized}"
+
+
+def _profile(f: MultiPoly) -> str:
+    bad, cofactor = bad_primes(f, {2, 3})
+    return f"{sorted(bad)} {cofactor}"
+
+
+def integer_golden_lines():
+    rng = Random(15015)
+    for domain in (ZZ, QQ):
+        for n in range(2, 7):
+            dense = [random_form(domain, rng, n) for _ in range(1 if n == 6 else 2)]
+            for f in dense + [_sparse(random_form(domain, rng, n), rng) for _ in range(2)]:
+                yield f"disc {domain.name} n={n} {f} -> {_verdict(_disc, f)}"
+    for d in range(1, 5):
+        for _ in range(4):
+            forms = [_sparse(random_form(ZZ, rng, d, 4), rng) for _ in range(3)]
+            yield f"res d={d} {', '.join(map(str, forms))} -> {_verdict(macaulay_resultant, *forms)}"
+    for n in (3, 4):
+        for _ in range(4):
+            f = _sparse(random_form(ZZ, rng, n), rng)
+            yield f"bad {f} -> {_verdict(_profile, f)}"
+    f = parse_poly("6*x^3*z - 7*x^2*z^2 - 4*x*y*z^2 + 4*x*z^3")
+    for g in (f, f.to_rationals()):
+        yield f"degenerate {g} -> {_verdict(_disc, g)}"
+
+
+def test_integer_outputs_match_their_golden_hash():
+    digest = hashlib.sha256("\n".join(integer_golden_lines()).encode()).hexdigest()
+    assert digest == INTEGER_GOLDEN_SHA256
