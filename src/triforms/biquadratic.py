@@ -622,8 +622,8 @@ def branch_locus_report(f) -> BranchLocusReport:
     p = field.p
     counterexamples = []
     checked = 0
-    # P^2(F_p) in the order of projective_points_prime, line by line:
-    # (1, a, t) for each a, then (0, 1, t), then (0, 0, 1)
+    # P^2(F_p) line by line, each point once with its first nonzero
+    # coordinate 1: (1, a, t) for each a, then (0, 1, t), then (0, 0, 1)
     lines = [(1, a, range(p)) for a in range(p)] + [(0, 1, range(p)), (0, 0, (1,))]
     for s in _derived(cls).sides:
         side = s.name

@@ -15,8 +15,8 @@ from math import lcm
 from pathlib import Path
 
 from . import biquadratic, cubic, elimination, lattice
-from .domains import GF, QQ, PrimeField
-from .errors import BudgetExceededError, ParseError, TriformsError
+from .domains import GF, QQ, ZZ, PrimeField
+from .errors import BudgetExceededError, DomainMismatchError, ParseError, TriformsError
 from .matrices import Mat3, act_ternary, mat3_from_json
 from .poly import MultiPoly, parse_poly, poly_from_json
 from .suites import DRAWS_PER_TRIAL, SUITE_NAMES, SuiteConfig, run_suite
@@ -193,6 +193,8 @@ def _cmd_act(args) -> int:
 
 def _cmd_cubic_invariants(args) -> int:
     f = _read_form(args.form)
+    if not (f.domain == ZZ or f.domain == QQ):
+        raise DomainMismatchError("cubic invariants are defined over ZZ/QQ")
     i_val, j_val = cubic.cubic_invariants(f)
     raw = elimination.resultant_of_partials(f)
     kappa_checked = 4 * Fraction(i_val) ** 3 - Fraction(j_val) ** 2 == cubic.KAPPA * Fraction(raw)

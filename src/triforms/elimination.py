@@ -20,27 +20,29 @@ homogeneous of degree 3(n-1)^2 in the coefficients; dividing by the content
 of that integer polynomial, n^a with a = ((n-1)^3 + 1)/n (Demazure), gives
 the primitive normalization.
 
-Over the integers the rows of M and M' are built from the forms' terms,
-as (column, coefficient) pairs made dense, and their determinants are
-fraction-free Bareiss.  Over prime fields every elimination reads one
-packed layout per degree tuple (``_layout``): each form is packed into one
-Python integer, w bits a field, column (a, b, c) in field b(D + 1) + c,
-and each row of the Macaulay matrix is a shift of its form.  M is those
-rows, M' the same rows masked to its columns; rows and columns are both in
-field order, so neither determinant changes.  ``_eliminate_mod_p`` reduces
-them row by row, and scales each pivot row with every field reduced at
-once by division by an invariant integer (Granlund-Montgomery), a few
-big-integer operations per pivot whatever the field width.
+Every elimination, over the integers and over prime fields, reads one
+layout per degree tuple (``_layout``): column (a, b, c) is field
+b(D + 1) + c, the fields with b + c > D are holes, and each row of the
+Macaulay matrix is a form shifted up by the fields of its multiplier.  M is
+those rows, M' the same rows cut to its columns; rows and columns are both
+in field order, so neither determinant changes.  Over the integers the rows
+are dense lists, one entry per column, and their determinants are
+fraction-free Bareiss.  Over prime fields each form is packed into one
+Python integer, w bits a field, each row is a shift of it, and M' is M's
+rows masked.  ``_eliminate_mod_p`` reduces them row by row, and scales each
+pivot row with every field reduced at once by division by an invariant
+integer (Granlund-Montgomery), a few big-integer operations per pivot
+whatever the field width.
 
 Smoothness mod p needs no value, only whether the partials (with the form
 itself when p divides the degree) have a common zero over F_p-bar, and
-that is a rank certificate: forms with no common zero span every form of
-degree d1 + d2 + d3 - 2 (Macaulay).  The same packed layout and
+that is a rank certificate, ``_no_common_zero``: forms with no common zero
+span every form of degree d1 + d2 + d3 - 2 (Macaulay).  The same layout and
 elimination decide it; it has no degenerate case, so no shear retry,
-content witness or point scan is involved.  Over GF(p) it also settles the
-resultant when every retry degenerates: forms with a common zero have
-resultant 0.  Over ZZ and QQ the same case is settled by the exact rank of
-the same Macaulay rows, from fraction-free elimination.
+content witness or point scan is involved.  It also settles the resultant
+when every retry degenerates, forms with a common zero having resultant 0:
+over GF(p) by the rank mod p, over ZZ and QQ by the exact rank of the same
+Macaulay rows, from fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -244,102 +246,30 @@ def _permutation_sign(order) -> int:
 # -- the Macaulay construction ------------------------------------------------
 
 
-def _monomials(degree: int) -> list[tuple[int, int, int]]:
-    out = []
-    for a in range(degree, -1, -1):
-        for b in range(degree - a, -1, -1):
-            out.append((a, b, degree - a - b))
-    return out
-
-
 @dataclass(frozen=True)
-class _MacaulayPlan:
-    degree: int
-    critical: int
-    monomials: tuple[tuple[int, int, int], ...]
-    index: dict
-    assignment: tuple[tuple[int, tuple[int, int, int]], ...]
-    nonreduced: tuple[int, ...]
-    minor_index: dict  # column of each monomial of M' within M'
-
-
-@lru_cache(maxsize=None)
-def _plan(d: int) -> _MacaulayPlan:
-    nu = 3 * (d - 1) + 1
-    monos = tuple(_monomials(nu))
-    index = {m: i for i, m in enumerate(monos)}
-    assignment = []
-    nonreduced = []
-    for i, m in enumerate(monos):
-        flags = [m[0] >= d, m[1] >= d, m[2] >= d]
-        which = flags.index(True)
-        mult = list(m)
-        mult[which] -= d
-        assignment.append((which, tuple(mult)))
-        if sum(flags) >= 2:
-            nonreduced.append(i)
-    minor_index = {monos[i]: j for j, i in enumerate(nonreduced)}
-    return _MacaulayPlan(
-        d, nu, monos, index, tuple(assignment), tuple(nonreduced), minor_index
-    )
-
-
-def _sparse_rows(plan: _MacaulayPlan, terms, minor: bool) -> list[list[tuple[int, int]]]:
-    """The rows of M, or of M' when ``minor``, as (column, coefficient) pairs.
-
-    ``terms`` holds each form's (exponents, coefficient) pairs.  A row's
-    pairs are its form's terms shifted by the row's multiplier, so only the
-    nonzero entries are ever touched; in M' a shifted term whose monomial
-    is not a column of M' is dropped.
-    """
-    if minor:
-        row_ids, index = plan.nonreduced, plan.minor_index
-    else:
-        row_ids, index = range(len(plan.monomials)), plan.index
-    rows = []
-    for r in row_ids:
-        which, (a, b, c) = plan.assignment[r]
-        row = []
-        for (x, y, z), coeff in terms[which]:
-            j = index.get((a + x, b + y, c + z))
-            if j is not None:
-                row.append((j, coeff))
-        rows.append(row)
-    return rows
-
-
-def _dense(rows: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """Square dense rows from rows of (column, entry) pairs."""
-    out = []
-    for pairs in rows:
-        row = [0] * len(rows)
-        for j, a in pairs:
-            row[j] = a
-        out.append(row)
-    return out
-
-
-@dataclass(frozen=True)
-class _PackedLayout:
-    """Where the Macaulay rows of forms of degrees d1, d2, d3 (and more) sit
-    in a packed row, in degree D = d1 + d2 + d3 - 2.
+class _Layout:
+    """Where the Macaulay rows of forms of degrees d1, d2, d3 (and more) sit,
+    in degree D = d1 + d2 + d3 - 2, over every ring.
 
     Column (a, b, c) is field b*stride + c, stride = D + 1, so the multiple
-    of a form by x^i y^j z^k is the packed form shifted up by j*stride + k
-    fields, and fields with b + c > D are holes.  ``rows`` holds, as (form,
-    shift) pairs in column order, the rows of the classical matrix: the row
-    of a monomial m is m / v^d_v times the form of the first variable v
-    with m_v >= d_v.  For three forms of equal degree d, D is the critical
-    degree 3(d - 1) + 1 and these rows make the square matrix M, with rows
-    and columns both in field order.  ``gaps`` are the distances in fields
-    from each column to the next, as ``_eliminate_mod_p`` reads them.
-    ``spare`` holds every other multiple of every form.  ``minor_rows`` are
-    the indices in ``rows`` of the monomials divisible by at least two of
-    x^d1, y^d2, z^d3, the rows and columns of M'; ``minor_columns`` are
-    their fields and ``minor_gaps`` the gaps between them.
+    of a form by x^i y^j z^k is the form shifted up by j*stride + k
+    fields, and fields with b + c > D are holes.  ``columns`` are the other
+    fields, in order: column k of a Macaulay matrix is the k-th of them.
+    ``rows`` holds, as (form, shift) pairs in column order, the rows of the
+    classical matrix: the row of a monomial m is m / v^d_v times the form of
+    the first variable v with m_v >= d_v.  For three forms of equal degree
+    d, D is the critical degree 3(d - 1) + 1 and these rows make the square
+    matrix M, with rows and columns both in field order.  ``gaps`` are the
+    distances in fields from each column to the next, as
+    ``_eliminate_mod_p`` reads them.  ``spare`` holds every other multiple
+    of every form.  ``minor_rows`` are the indices in ``rows`` of the
+    monomials divisible by at least two of x^d1, y^d2, z^d3, the rows and
+    columns of M'; ``minor_columns`` are their fields and ``minor_gaps`` the
+    gaps between them.
     """
 
     stride: int
+    columns: tuple[int, ...]
     rows: tuple[tuple[int, int], ...]
     gaps: tuple[int, ...]
     spare: tuple[tuple[int, int], ...]
@@ -349,18 +279,18 @@ class _PackedLayout:
 
 
 @lru_cache(maxsize=None)
-def _layout(degrees: tuple[int, ...]) -> _PackedLayout:
-    """The packed layout of forms of these degrees, the first three the largest."""
+def _layout(degrees: tuple[int, ...]) -> _Layout:
+    """The layout of forms of these degrees, the first three the largest."""
     top = degrees[:3]
     D = sum(top) - 2
     stride = D + 1
-    rows, gaps, minor_rows, minor_columns = [], [], [], []
+    columns, rows, minor_rows, minor_columns = [], [], [], []
     for b in range(D + 1):
         for c in range(D + 1 - b):
             m = (D - b - c, b, c)
             v = next(v for v in range(3) if m[v] >= top[v])
+            columns.append(b * stride + c)
             rows.append((v, (b - top[1] * (v == 1)) * stride + c - top[2] * (v == 2)))
-            gaps.append(1 if c < D - b else b + 1)
             if sum(e >= d for e, d in zip(m, top)) >= 2:
                 minor_rows.append(len(rows) - 1)
                 minor_columns.append(b * stride + c)
@@ -372,14 +302,24 @@ def _layout(degrees: tuple[int, ...]) -> _PackedLayout:
         for c in range(D - degree - b + 1)
         if (g, b * stride + c) not in classical
     )
-    minor_gaps = tuple(b - a for a, b in zip(minor_columns, minor_columns[1:]))
-    minor_gaps += (1,) if minor_columns else ()
-    return _PackedLayout(
-        stride, tuple(rows), tuple(gaps), spare, tuple(minor_rows), tuple(minor_columns), minor_gaps
+    return _Layout(
+        stride,
+        tuple(columns),
+        tuple(rows),
+        _gaps(columns),
+        spare,
+        tuple(minor_rows),
+        tuple(minor_columns),
+        _gaps(minor_columns),
     )
 
 
-def _pack(layout: _PackedLayout, terms, w: int) -> list[int]:
+def _gaps(columns: list[int]) -> tuple[int, ...]:
+    """The distance in fields from each column to the next, and 1 after the last."""
+    return tuple(b - a for a, b in zip(columns, columns[1:])) + ((1,) if columns else ())
+
+
+def _pack(layout: _Layout, terms, w: int) -> list[int]:
     """Each form packed into one integer, from its ((a, b, c), coefficient)
     pairs, coefficients in [0, p)."""
     stride = layout.stride
@@ -391,7 +331,26 @@ def _shifted(packed: list[int], pairs, w: int) -> list[int]:
     return [packed[g] << (shift * w) for g, shift in pairs]
 
 
-def _minor_packed_rows(layout: _PackedLayout, rows: list[int], w: int) -> list[int]:
+def _integer_rows(layout: _Layout, terms, pairs, columns) -> list[list[int]]:
+    """Dense integer rows named by (form, shift) pairs, from each form's
+    ((a, b, c), coefficient) pairs; entry k of a row is its field
+    ``columns[k]``, and a term that lands on no field of ``columns`` is
+    dropped."""
+    index = {field: k for k, field in enumerate(columns)}
+    stride = layout.stride
+    fields = [[(b * stride + c, coeff) for (_, b, c), coeff in t] for t in terms]
+    rows = []
+    for g, shift in pairs:
+        row = [0] * len(index)
+        for field, coeff in fields[g]:
+            k = index.get(shift + field)
+            if k is not None:
+                row[k] = coeff
+        rows.append(row)
+    return rows
+
+
+def _minor_packed_rows(layout: _Layout, rows: list[int], w: int) -> list[int]:
     """The rows of M', from the rows of M masked to its columns, with its
     first column moved to field 0."""
     mask = sum(((1 << w) - 1) << (j * w) for j in layout.minor_columns)
@@ -422,19 +381,20 @@ def _unimodular(attempt: int) -> list[list[int]]:
     ]
 
 
-def _quotient(plan, forms, p: int | None) -> int | None:
+def _quotient(layout: _Layout, forms, p: int | None) -> int | None:
     """det(M)/det(M') over ZZ (p None) or GF(p), or None when det(M') = 0.
 
-    Over ZZ the rows are densified for Bareiss.  Over GF(p) (coefficients
-    in [0, p)) each form is packed once; the rows of M are its shifts, in
-    the packed layout, and those of M' the same rows masked to the columns
-    of M'.  Rows and columns are both in field order there, a common
-    permutation of the monomial order, so neither determinant changes.
+    Both read the rows and columns of M and M' from the layout, both in
+    field order, a common permutation of the monomial order, so neither
+    determinant changes.  Over ZZ the rows are dense, for Bareiss.  Over
+    GF(p) (coefficients in [0, p)) each form is packed once; the rows of M
+    are its shifts and those of M' the same rows masked to the columns of
+    M'.
     """
+    terms = [g.terms.items() for g in forms]
     if p is not None:
-        layout = _layout((plan.degree,) * 3)
         w = _field_width(len(layout.gaps), p)
-        rows = _shifted(_pack(layout, [g.terms.items() for g in forms], w), layout.rows, w)
+        rows = _shifted(_pack(layout, terms, w), layout.rows, w)
         dprime = 1
         if layout.minor_rows:
             minor = _minor_packed_rows(layout, rows, w)
@@ -442,13 +402,14 @@ def _quotient(plan, forms, p: int | None) -> int | None:
             if dprime == 0:
                 return None
         return _eliminate_mod_p(rows, p, w, layout.gaps) * pow(dprime, p - 2, p) % p
-    terms = [list(g.terms.items()) for g in forms]
     dprime = 1
-    if plan.nonreduced:
-        dprime = det_bareiss(_dense(_sparse_rows(plan, terms, True)))
+    if layout.minor_rows:
+        pairs = [layout.rows[i] for i in layout.minor_rows]
+        dprime = det_bareiss(_integer_rows(layout, terms, pairs, layout.minor_columns))
         if dprime == 0:
             return None
-    quotient, remainder = divmod(det_bareiss(_dense(_sparse_rows(plan, terms, False))), dprime)
+    rows = _integer_rows(layout, terms, layout.rows, layout.columns)
+    quotient, remainder = divmod(det_bareiss(rows), dprime)
     if remainder:
         raise ArithmeticError("Macaulay quotient failed to divide exactly")
     return quotient
@@ -465,20 +426,16 @@ def _sheared(forms):
 def _resultant_exact(forms, p: int | None):
     """The Macaulay quotient over ZZ (p None) or GF(p), with the degenerate path.
 
-    When every retry degenerates, forms with a common zero have resultant 0:
-    over GF(p) by the rank certificate of ``_no_common_zero_mod_p``, over ZZ
-    by the exact rank of ``_common_zero_over_qbar``.
+    When every retry degenerates, forms with a common zero have resultant 0,
+    by the rank certificate of ``_no_common_zero`` in the same ring.
     """
     d = forms[0].homogeneous_degree()
-    plan = _plan(d)
+    layout = _layout((d,) * 3)
     for moved in _sheared(forms):
-        quotient = _quotient(plan, moved, p)
+        quotient = _quotient(layout, moved, p)
         if quotient is not None:
             return quotient
-    if p is None:
-        if _common_zero_over_qbar(forms, d):
-            return 0
-    elif not _no_common_zero_mod_p([(d, list(g.terms.items())) for g in forms], p):
+    if not _no_common_zero([(d, g.terms.items()) for g in forms], p):
         return 0
     raise MacaulayDegenerateError(
         "reduced Macaulay minor vanished for every retry; resultant undetermined"
@@ -638,28 +595,35 @@ def discriminant(f: MultiPoly, normalize: bool = True) -> DiscriminantReport:
     )
 
 
-# -- smoothness over prime fields ----------------------------------------------
+# -- the rank certificate and smoothness over prime fields ----------------------
 
 
-def _no_common_zero_mod_p(forms, p: int) -> bool:
-    """Whether ternary forms over F_p have no common zero in P^2(F_p-bar).
+def _no_common_zero(forms, p: int | None) -> bool:
+    """Whether ternary forms over ZZ (p None) or F_p have no common zero
+    over the algebraic closure.
 
-    ``forms`` holds (degree, terms) pairs, terms as ((a, b, c), coefficient
-    in [0, p)) pairs; there are at least three, and the first three have
-    the largest degrees d1, d2, d3.  Macaulay's theorem (Lazard, EUROCAL
-    1983; Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3): the forms
-    have no common zero exactly when their multiples span every form of
-    degree D = d1 + d2 + d3 - 2.  Rank over F_p is rank over F_p-bar, so
-    the test is the full column rank mod p of that Macaulay matrix.
+    ``forms`` holds (degree, terms) pairs, terms as ((a, b, c), coefficient)
+    pairs, coefficients in [0, p) over F_p; there are at least three, and
+    the first three have the largest degrees d1, d2, d3.  Macaulay's theorem
+    (Lazard, EUROCAL 1983; Cox-Little-O'Shea, Using Algebraic Geometry,
+    ch. 3): the forms have no common zero exactly when their multiples span
+    every form of degree D = d1 + d2 + d3 - 2.  Rank over F_p is rank over
+    F_p-bar, and rank over QQ rank over Q-bar, so the test is the full
+    column rank of that Macaulay matrix, in the ``_layout`` of the degrees.
 
-    The rows are shifts of the packed forms, in the ``_layout`` of their
-    degrees.  The rows of the classical square matrix are eliminated first;
-    the other multiples are spare rows, brought in only when a column has no
-    pivot (for instance when the extraneous factor det M' vanishes).
+    Over ZZ the rank is exact, from ``_rank_bareiss`` on every multiple of
+    every form.  Over F_p the rows are shifts of the packed forms; the rows
+    of the classical square matrix are eliminated first, and the other
+    multiples are spare rows, brought in only when a column has no pivot
+    (for instance when the extraneous factor det M' vanishes).
     """
     layout = _layout(tuple(degree for degree, _ in forms))
+    terms = [t for _, t in forms]
+    if p is None:
+        rows = _integer_rows(layout, terms, layout.rows + layout.spare, layout.columns)
+        return _rank_bareiss(rows) == len(layout.columns)
     w = _field_width(len(layout.gaps), p)
-    packed = _pack(layout, [terms for _, terms in forms], w)
+    packed = _pack(layout, terms, w)
     rows, spare = _shifted(packed, layout.rows, w), _shifted(packed, layout.spare, w)
     return _eliminate_mod_p(rows, p, w, layout.gaps, spare) != 0
 
@@ -687,26 +651,6 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return rank
 
 
-def _common_zero_over_qbar(forms, d: int) -> bool:
-    """Whether integer ternary forms of degree d share a zero over Q-bar.
-
-    Macaulay's theorem, as in ``_no_common_zero_mod_p`` but over QQ: the
-    forms have no common zero exactly when their multiples span every form
-    of degree D = 3d - 2, that is when the matrix of those multiples has
-    full column rank.  The rank is exact, from ``_rank_bareiss``.
-    """
-    D = 3 * d - 2
-    index = {m: j for j, m in enumerate(_monomials(D))}
-    rows = []
-    for g in forms:
-        for a, b, c in _monomials(D - d):
-            row = [0] * len(index)
-            for (x, y, z), coeff in g.terms.items():
-                row[index[a + x, b + y, c + z]] = coeff
-            rows.append(row)
-    return _rank_bareiss(rows) < len(index)
-
-
 def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:
     """Whether the reduction of f cuts a smooth plane curve over F_p-bar.
 
@@ -716,7 +660,7 @@ def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:
     n f = sum v df/dv puts f in the partials' span, so the generators are
     the partials; when p divides n, f joins them.  A zero partial is
     dropped; fewer than three generators always share a zero in the plane.
-    The verdict is the rank certificate of ``_no_common_zero_mod_p``.  It
+    The verdict is the rank certificate of ``_no_common_zero`` over F_p.  It
     agrees with the nonvanishing mod p of the primitive discriminant
     (Demazure, "Resultant, discriminant", Enseign. Math. 2012), and for p
     not dividing n with that of the raw one, the resultant of the partials.
@@ -741,9 +685,7 @@ def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:
             generators.append((n - 1, g))
     if len(generators) < 3:
         return False
-    return _no_common_zero_mod_p(
-        [(degree, list(g.terms.items())) for degree, g in generators], p
-    )
+    return _no_common_zero([(degree, g.terms.items()) for degree, g in generators], p)
 
 
 def _lift(g: MultiPoly) -> MultiPoly:
@@ -756,16 +698,16 @@ def bad_primes(
 ) -> tuple[set[int], int]:
     """Primes outside S dividing the raw discriminant, plus unfactored rest.
 
-    Trial-divides |raw| by all primes up to ``trial_bound`` and by every
-    prime of S; any remaining cofactor > 1 is returned explicitly rather
-    than factored further.
+    f must be over ZZ; any other form is refused before its discriminant is
+    computed.  Trial-divides |raw| by all primes up to ``trial_bound`` and
+    by every prime of S; any remaining cofactor > 1 is returned explicitly
+    rather than factored further.
     """
-    report = discriminant(f, normalize=False)
-    raw = report.raw
+    if f.domain != ZZ:
+        raise DomainMismatchError("bad-prime profiles need integer coefficients")
+    raw = discriminant(f, normalize=False).raw
     if raw == 0:
         raise ZeroInputError("form is singular over QQ; no good-reduction profile")
-    if isinstance(raw, Fraction):
-        raise DomainMismatchError("bad-prime profiles need integer coefficients")
     s_primes = set(int(p) for p in s_primes)
     value = strip_primes(abs(raw), s_primes)
     factors, cofactor = trial_factor(value, trial_bound)

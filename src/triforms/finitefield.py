@@ -78,16 +78,6 @@ class QuadExtension:
         return result
 
 
-def projective_points_prime(p: int):
-    """Normalized representatives of P^2(F_p): p^2 + p + 1 points."""
-    for a in range(p):
-        for b in range(p):
-            yield (1, a, b)
-    for a in range(p):
-        yield (0, 1, a)
-    yield (0, 0, 1)
-
-
 def projective_points_ext(ext: QuadExtension):
     """Normalized representatives of P^2(F_{p^2}): q^2 + q + 1 points."""
     one, zero = ext.one(), ext.zero()

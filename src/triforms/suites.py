@@ -70,10 +70,17 @@ def random_scalar(dom: Domain, rng: Random, bound: int = 9):
     return rng.randint(-bound, bound)
 
 
+def _monomials(degree: int) -> list[tuple[int, int, int]]:
+    """The ternary monomials of a degree, x-exponent descending, then y's."""
+    return [
+        (a, b, degree - a - b) for a in range(degree, -1, -1) for b in range(degree - a, -1, -1)
+    ]
+
+
 def random_form(dom: Domain, rng: Random, degree: int, bound: int = 9) -> MultiPoly:
     if degree < 0:
         raise DegreeError(f"no nonzero form of degree {degree}")
-    monos = elimination._monomials(degree)
+    monos = _monomials(degree)
     while True:
         f = MultiPoly(dom, VARS_XYZ, {m: random_scalar(dom, rng, bound) for m in monos})
         if not f.is_zero():

@@ -9,12 +9,7 @@ import pytest
 
 from triforms.domains import ZZ
 from triforms.elimination import resultant_of_partials
-from triforms.finitefield import (
-    QuadExtension,
-    evaluate_terms_ext,
-    projective_points_prime,
-    ternary_zeros_ext,
-)
+from triforms.finitefield import QuadExtension, evaluate_terms_ext, ternary_zeros_ext
 from triforms.matrices import Mat3
 from triforms.poly import MultiPoly
 from triforms.suites import random_form, random_scalar
@@ -29,6 +24,16 @@ def rand_sl3(dom, rng: Random, bound: int = 3) -> Mat3:
         rows[i][j] = random_scalar(dom, rng, bound)
         m = m @ Mat3(dom, rows)
     return m
+
+
+def projective_points_prime(p: int):
+    """Normalized representatives of P^2(F_p): p^2 + p + 1 points."""
+    for a in range(p):
+        for b in range(p):
+            yield (1, a, b)
+    for a in range(p):
+        yield (0, 1, a)
+    yield (0, 0, 1)
 
 
 def singular_points_fp(fbar: MultiPoly, p: int):

@@ -37,18 +37,13 @@ from triforms.errors import (
     TriformsError,
     ZeroInputError,
 )
-from triforms.finitefield import (
-    QuadExtension,
-    evaluate_terms_ext,
-    projective_points_ext,
-    projective_points_prime,
-)
+from triforms.finitefield import QuadExtension, evaluate_terms_ext, projective_points_ext
 from triforms.fixtures import diagonal_22_cycle, diagonal_22_same, sigma_squared
 from triforms.matrices import Mat3
 from triforms.poly import VARS_BIQUAD, MultiPoly, parse_poly
 from triforms.suites import random_bilinear, random_form22, random_invertible
 
-from conftest import singular_points_fp2
+from conftest import projective_points_prime, singular_points_fp2
 
 
 # -- canonicalization ------------------------------------------------------------

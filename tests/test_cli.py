@@ -12,10 +12,9 @@ import pytest
 
 from triforms import cli
 from triforms.domains import QQ, ZZ
-from triforms.elimination import _monomials
 from triforms.intutil import PRIME_PROOF_LIMIT
 from triforms.poly import VARS_XYZ, MultiPoly
-from triforms.suites import random_form
+from triforms.suites import _monomials, random_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -129,6 +128,30 @@ def test_good_reduction_fermat4():
     proc = run_cli("good-reduction", "--form", str(FIXTURES / "fermat4.txt"))
     data = json.loads(proc.stdout)
     assert data["bad_primes_outside_s"] == [2]
+
+
+def _gf_cubic(tmp_path, p):
+    """x^3 + y^3 + z^3 + 2xyz as a JSON form over GF(p)."""
+    terms = [{"e": e, "c": c} for e, c in (([3, 0, 0], 1), ([0, 3, 0], 1), ([0, 0, 3], 1),
+                                           ([1, 1, 1], 2))]
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"vars": ["x", "y", "z"], "p": p, "terms": terms}))
+    return str(form)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_good_reduction_refuses_a_form_over_gf_p(p, tmp_path, capsys):
+    # a residue of the raw discriminant has no bad primes: GF(11) once
+    # answered [7] by trial-factoring it, GF(13) "good everywhere"
+    assert cli.main(["good-reduction", "--form", _gf_cubic(tmp_path, p)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "domain-mismatch"
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_cubic_invariants_refuses_a_form_over_gf_p(p, tmp_path, capsys):
+    # residues compared as rationals once gave kappa_checked false
+    assert cli.main(["cubic-invariants", "--form", _gf_cubic(tmp_path, p)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "domain-mismatch"
 
 
 def test_act_subcommand(tmp_path):

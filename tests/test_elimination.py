@@ -4,29 +4,28 @@ The smoothness verdicts are checked against an independent oracle: an
 exhaustive singular-point search over F_p and F_{p^2}.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd
 from random import Random
 
 import pytest
 
+from triforms import elimination
 from triforms.domains import GF, QQ, ZZ
 from triforms.elimination import (
-    _common_zero_over_qbar,
-    _dense,
     _field_width,
+    _integer_rows,
     _layout,
     _lift,
     _minor_packed_rows,
+    _no_common_zero,
     _pack,
-    _plan,
     _quotient,
     _rank_bareiss,
     _scaled,
     _shifted,
     _sheared,
-    _sparse_rows,
     bad_primes,
     det_bareiss,
     det_mod_p,
@@ -38,6 +37,7 @@ from triforms.elimination import (
 )
 from triforms.errors import (
     DegreeError,
+    DomainMismatchError,
     MacaulayDegenerateError,
     ZeroInputError,
 )
@@ -126,6 +126,24 @@ def test_scaled_reduces_every_field_value_at_width_6(p):
         assert _scaled(row, inv, p, 6) == sum((a * inv % p) << (6 * j) for j, a in enumerate(fields))
 
 
+_Reference = namedtuple("_Reference", "monomials assignment nonreduced")
+
+
+def _reference_plan(d):
+    """The classical Macaulay matrix of three d-ics, built monomial by
+    monomial: the monomials of degree 3d - 2 (x-exponent descending, then
+    y's), the row of each as (form, multiplier), m / v^d times the form of
+    the first variable v with m_v >= d, and the indices of M'."""
+    nu = 3 * d - 2
+    monomials = [(a, b, nu - a - b) for a in range(nu, -1, -1) for b in range(nu - a, -1, -1)]
+    assignment = []
+    for m in monomials:
+        which = next(v for v in range(3) if m[v] >= d)
+        assignment.append((which, tuple(e - d * (v == which) for v, e in enumerate(m))))
+    nonreduced = [i for i, m in enumerate(monomials) if sum(e >= d for e in m) >= 2]
+    return _Reference(monomials, assignment, nonreduced)
+
+
 def _reference_rows(plan, forms, subset=None):
     """Dense rows of M, or of the submatrix on ``subset``, entry by entry."""
     ids = range(len(plan.monomials)) if subset is None else subset
@@ -142,24 +160,56 @@ def _reference_rows(plan, forms, subset=None):
     return rows
 
 
+def _field_order(plan, layout):
+    """The field of each monomial in the layout, and the indices of M and of
+    M' sorted by field."""
+    field = {i: layout.stride * b + c for i, (_, b, c) in enumerate(plan.monomials)}
+    full = sorted(field, key=field.get)
+    return field, full, [i for i in full if i in plan.nonreduced]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 10007, 2**61 - 1])
 def test_rows_from_terms_match_dense_rows(p):
-    # the integer path's rows, on the least-residue lifts of GF(p) forms;
+    # the integer rows read from the layout, on the least-residue lifts of
+    # GF(p) forms: M and M' are the reference matrices with rows and columns
+    # in field order, and the rank rows are every multiple of every form;
     # up to d = 3, where the GF(p) quotient is defined, the integer one
     # reduces to it (Bareiss on 61-bit lifts takes seconds at d = 5)
     rng = Random(p % 1000)
     for d in range(1, 6):
-        plan = _plan(d)
+        plan, layout = _reference_plan(d), _layout((d, d, d))
+        _, full, reduced = _field_order(plan, layout)
+        D, stride = 3 * d - 2, layout.stride
         for _ in range(3 if d < 5 else 1):
             forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
             lifts = tuple(_lift(g) for g in forms)
-            terms = [list(g.terms.items()) for g in lifts]
-            for minor, subset in ((True, plan.nonreduced), (False, None)):
-                dense = _reference_rows(plan, lifts, subset)
-                assert _dense(_sparse_rows(plan, terms, minor)) == dense
-            expected = _quotient(plan, forms, p) if d <= 3 else None
+            terms = [g.terms.items() for g in lifts]
+            dense = _reference_rows(plan, lifts)
+            minor_pairs = [layout.rows[i] for i in layout.minor_rows]
+            for pairs, columns, ids in (
+                (layout.rows, layout.columns, full),
+                (minor_pairs, layout.minor_columns, reduced),
+            ):
+                reference = [[dense[i][j] for j in ids] for i in ids]
+                assert _integer_rows(layout, terms, pairs, columns) == reference
+            multiples = {}  # (form, multiplier) -> its row, columns in field order
+            for g, lift in enumerate(lifts):
+                for a in range(D - d, -1, -1):
+                    for b in range(D - d - a, -1, -1):
+                        mult = (a, b, D - d - a - b)
+                        row = {}
+                        for exps, coeff in lift.terms.items():
+                            row[tuple(m + e for m, e in zip(mult, exps))] = coeff
+                        multiples[g, mult] = [row.get(plan.monomials[i], 0) for i in full]
+            pairs = layout.rows + layout.spare
+            built = {}
+            for (g, shift), row in zip(pairs, _integer_rows(layout, terms, pairs, layout.columns)):
+                b, c = divmod(shift, stride)
+                built[g, (D - d - b - c, b, c)] = row
+            assert len(built) == len(pairs) and built == multiples
+            expected = _quotient(layout, forms, p) if d <= 3 else None
             if expected is not None:
-                assert _quotient(plan, lifts, None) % p == expected
+                assert _quotient(layout, lifts, None) % p == expected
 
 
 def _unpacked(row, positions, w):
@@ -176,11 +226,9 @@ def test_shift_built_rows_match_reference_rows_in_field_order(p):
     # the GF(p) quotient is the one of the dense reference matrices
     rng = Random(500 + p % 1000)
     for d in range(1, 6):
-        plan, layout = _plan(d), _layout((d, d, d))
+        plan, layout = _reference_plan(d), _layout((d, d, d))
         w = _field_width(len(layout.gaps), p)
-        field = {i: layout.stride * b + c for i, (_, b, c) in enumerate(plan.monomials)}
-        full = sorted(field, key=field.get)
-        reduced = [i for i in full if i in plan.nonreduced]
+        field, full, reduced = _field_order(plan, layout)
         for _ in range(3 if d < 5 else 1):
             forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
             rows = _shifted(_pack(layout, [g.terms.items() for g in forms], w), layout.rows, w)
@@ -194,21 +242,24 @@ def test_shift_built_rows_match_reference_rows_in_field_order(p):
                 dets.append(det_mod_p(reference, p))
             full_det, minor_det = dets
             expected = None if minor_det == 0 else full_det * pow(minor_det, -1, p) % p
-            assert _quotient(plan, forms, p) == expected
+            assert _quotient(layout, forms, p) == expected
 
 
 def test_macaulay_matrix_is_square_at_critical_degree():
-    from triforms.elimination import _plan
-
     for d in (1, 2, 3, 5):
-        plan = _plan(d)
+        layout = _layout((d, d, d))
         nu = 3 * (d - 1) + 1
-        assert plan.critical == nu
-        assert len(plan.monomials) == (nu + 2) * (nu + 1) // 2
-        assert len(plan.assignment) == len(plan.monomials)
-        # every monomial of degree 3d-2 is divisible by some v^d
-        for (which, mult), mono in zip(plan.assignment, plan.monomials):
-            assert mono[which] >= d and sum(mult) == nu - d
+        assert layout.stride == nu + 1
+        assert len(layout.columns) == len(layout.rows) == (nu + 2) * (nu + 1) // 2
+        # every monomial of degree 3d-2 is divisible by some v^d, and its row
+        # is the monomial over v^d times the form of v
+        for (which, shift), field in zip(layout.rows, layout.columns):
+            b, c = divmod(field, layout.stride)
+            mono = (nu - b - c, b, c)
+            b, c = divmod(shift, layout.stride)
+            mult = (nu - d - b - c, b, c)
+            assert min(mult) >= 0 and mono[which] >= d
+            assert all(m + d * (v == which) == e for v, (m, e) in enumerate(zip(mult, mono)))
 
 
 def test_linear_resultant_is_coefficient_determinant():
@@ -253,11 +304,10 @@ def test_degenerate_minor_retry_path():
     g1 = parse_poly("-3*x^2 + 2*y^2 + 3*z^2")
     g2 = parse_poly("-2*x*z - 3*z^2")
     g3 = parse_poly("-2*x^2 + 2*x*z - 2*y*z")
-    from triforms.elimination import _plan
-
-    plan = _plan(2)
+    plan = _reference_plan(2)
     minor = _reference_rows(plan, (g1, g2, g3), plan.nonreduced)
     assert det_bareiss([row[:] for row in minor]) == 0
+    assert _quotient(_layout((2, 2, 2)), (g1, g2, g3), None) is None
     value = macaulay_resultant(g1, g2, g3)
     assert value == 49920
     assert macaulay_resultant(g1.scale(2), g2, g3) == 2**4 * value
@@ -310,14 +360,15 @@ def test_integer_discriminant_when_every_retry_degenerates():
     # its partials is deficient, so the raw discriminant is 0
     f = parse_poly("6*x^3*z - 7*x^2*z^2 - 4*x*y*z^2 + 4*x*z^3")
     partials = [f.partial_derivative(v) for v in f.vars]
-    plan = _plan(3)
-    assert all(_quotient(plan, moved, None) is None for moved in _sheared(partials))
-    assert _common_zero_over_qbar(partials, 3)
+    layout = _layout((3, 3, 3))
+    assert all(_quotient(layout, moved, None) is None for moved in _sheared(partials))
+    assert not _no_common_zero([(3, g.terms.items()) for g in partials], None)
     for g in (f, f.to_rationals()):
         report = discriminant(g)
         assert report.raw == 0 and report.normalized == 0
     # the smooth Fermat quartic's partials span every form of degree 7
-    assert not _common_zero_over_qbar([fermat(4).partial_derivative(v) for v in VARS_XYZ], 3)
+    fermat_partials = [fermat(4).partial_derivative(v) for v in VARS_XYZ]
+    assert _no_common_zero([(3, g.terms.items()) for g in fermat_partials], None)
 
 
 def test_rational_resultant_clears_denominators():
@@ -605,8 +656,6 @@ def test_rank_certificate_degree(monkeypatch):
     # D = d1 + d2 + d3 - 2 over the three largest generator degrees: the
     # partials alone (3n - 5) when p does not divide n, with f (3n - 4) when
     # it does; D - 1 would miss smooth forms, D + 1 only costs more
-    from triforms import elimination
-
     sizes = []
     original = elimination._eliminate_mod_p
 
@@ -652,6 +701,19 @@ def test_bad_primes_fermat_quartic():
 def test_bad_primes_rejects_singular():
     with pytest.raises(ZeroInputError):
         bad_primes(coordinate_triangle(), set())
+
+
+def test_bad_primes_refuses_forms_not_over_zz(monkeypatch):
+    # refused before any discriminant is computed; over GF(p) the residue
+    # of a raw discriminant has no bad primes to find
+    def no_discriminant(*args, **kwargs):
+        raise AssertionError("discriminant computed")
+
+    monkeypatch.setattr(elimination, "discriminant", no_discriminant)
+    f = parse_poly("x^3 + y^3 + z^3 + 2*x*y*z")
+    for g in (f.to_rationals(), coordinate_triangle().to_rationals(), f.reduce_mod_p(11)):
+        with pytest.raises(DomainMismatchError, match="need integer coefficients"):
+            bad_primes(g, set())
 
 
 def test_bad_primes_finds_odd_primes():

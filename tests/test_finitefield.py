@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from triforms.elimination import _monomials
+from triforms.suites import _monomials
 from triforms.finitefield import (
     QuadExtension,
     evaluate_terms_ext,

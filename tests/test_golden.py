@@ -89,7 +89,8 @@ def integer_golden_lines():
     for d in range(1, 5):
         for _ in range(4):
             forms = [_sparse(random_form(ZZ, rng, d, 4), rng) for _ in range(3)]
-            yield f"res d={d} {', '.join(map(str, forms))} -> {_verdict(macaulay_resultant, *forms)}"
+            triple = ", ".join(map(str, forms))
+            yield f"res d={d} {triple} -> {_verdict(macaulay_resultant, *forms)}"
     for n in (3, 4):
         for _ in range(4):
             f = _sparse(random_form(ZZ, rng, n), rng)
