@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from pathlib import Path
 
@@ -49,6 +50,21 @@ LATTICE_BOX_MAX_CELLS = 430_000
 DISC_MS = {2: 1, 3: 1, 4: 3, 5: 25, 6: 200, 7: 900, 8: 3400}
 DISC_MAX_DEGREE = max(DISC_MS)
 DISC_MAX_MS = 10_000
+
+# Nanoseconds of act (rep vn) per term of an n-ic form and per (n + 2)^4,
+# rounded up from the same box: a dense form and a dense gamma, both with
+# one-digit entries, took 13-20 ns a unit over ZZ and GF(p) at degrees 12 to
+# 40 (2.4 s at degree 26, 35 s at 40) and ~80 ns over QQ, charged four
+# times as much.  A sparse form of high degree costs less than that per
+# term, and a gamma with zeros far less; both are charged as dense.  With b
+# the bits of the result's coefficients, f's height plus n times gamma's
+# (cleared of denominators, 4 over GF(p), as for disc), the cost grew about
+# as ((b + 2000) / 2000)^2, measured up to 40 000 bits at degrees 12 and 20.
+# The estimate was 1.6-3x above every time measured from degree 10 to 26, so
+# act, refusing an estimate over ACT_MAX_MS before computing, answers what
+# takes up to a few seconds.
+ACT_UNIT_NS = 30
+ACT_MAX_MS = 10_000
 
 # Largest good-reduction --trial-bound.  The primes up to the bound stay in
 # memory for the life of the process; on the same box a first factoring at
@@ -101,13 +117,12 @@ def _disc_cost_ms(n: int, bits: int) -> int:
     return -(-DISC_MS[n] * (bits + 6) ** 2 // 100)
 
 
-def _height_bits(f: MultiPoly) -> int:
-    """Bits of the largest coefficient of f, over QQ once the denominators are
-    cleared; 4, as for one-digit coefficients, over GF(p)."""
-    coeffs = f.terms.values()
-    if isinstance(f.domain, PrimeField):
+def _height_bits(domain, coeffs) -> int:
+    """Bits of the largest of the coefficients, over QQ once the denominators
+    are cleared; 4, as for one-digit coefficients, over GF(p)."""
+    if isinstance(domain, PrimeField):
         return 4
-    if f.domain == QQ:
+    if domain == QQ:
         common = lcm(*(c.denominator for c in coeffs))
         coeffs = [c.numerator * (common // c.denominator) for c in coeffs]
     return max((abs(c).bit_length() for c in coeffs), default=0)
@@ -122,8 +137,19 @@ def _require_disc_budget(command: str, f: MultiPoly) -> None:
             f"{command} computes discriminants up to degree {DISC_MAX_DEGREE}, got {n}"
         )
     if n >= 2:
-        cost = _disc_cost_ms(n, _height_bits(f))
+        cost = _disc_cost_ms(n, _height_bits(f.domain, f.terms.values()))
         _require_budget(command, cost, DISC_MAX_MS, "ms of estimated work")
+
+
+def _act_cost_ms(f: MultiPoly, gamma: Mat3) -> int:
+    """Estimated ms of gamma . f by substitution (see ACT_UNIT_NS)."""
+    n = f.total_degree() or 0
+    bits = _height_bits(f.domain, f.terms.values()) + n * _height_bits(
+        gamma.domain, gamma.to_flat()
+    )
+    unit_ns = ACT_UNIT_NS * (4 if f.domain == QQ else 1)
+    work_ns = len(f.terms) * (n + 2) ** 4 * unit_ns * (bits + 2000) ** 2
+    return -(-work_ns // (2000**2 * 10**6))
 
 
 def _emit(data) -> None:
@@ -183,6 +209,7 @@ def _cmd_act(args) -> int:
     f = _read_form(args.form, args.mod)
     gamma = _read_matrix(args.gamma, f.domain)
     if args.rep == "vn":
+        _require_budget("act", _act_cost_ms(f, gamma), ACT_MAX_MS, "ms of estimated work")
         result = act_ternary(gamma, f)
         _emit({"result": str(result)})
     else:
@@ -336,6 +363,11 @@ def _comma_list(convert):
 _int_list = _comma_list(int)
 
 
+# One parser per process, built on the first call: building it takes
+# ~1.6 ms, about fifty times what parsing one command line takes, and
+# parse_args leaves the parser as it found it (each call fills a fresh
+# namespace), so every main call shares it.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triforms",
@@ -411,9 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -427,7 +427,10 @@ def _resultant_exact(forms, p: int | None):
     """The Macaulay quotient over ZZ (p None) or GF(p), with the degenerate path.
 
     When every retry degenerates, forms with a common zero have resultant 0,
-    by the rank certificate of ``_no_common_zero`` in the same ring.
+    by the rank certificate of ``_no_common_zero`` in the same ring.  Over
+    GF(p) the last step is the integer resultant of the least-residue lifts,
+    reduced mod p: the resultant is an integer polynomial in the
+    coefficients, so the two agree.
     """
     d = forms[0].homogeneous_degree()
     layout = _layout((d,) * 3)
@@ -437,6 +440,8 @@ def _resultant_exact(forms, p: int | None):
             return quotient
     if not _no_common_zero([(d, g.terms.items()) for g in forms], p):
         return 0
+    if p is not None:
+        return _resultant_exact(tuple(_lift(g) for g in forms), None) % p
     raise MacaulayDegenerateError(
         "reduced Macaulay minor vanished for every retry; resultant undetermined"
     )
@@ -503,23 +508,7 @@ def resultant_of_partials(f: MultiPoly):
     partials = [f.partial_derivative(v) for v in f.vars]
     if any(g.is_zero() for g in partials):
         return f.domain.zero()
-    return _resultant_lifting_mod_p(partials)
-
-
-def _resultant_lifting_mod_p(forms):
-    """macaulay_resultant, retried over ZZ when every GF(p) retry degenerates.
-
-    The resultant is an integer polynomial in the coefficients, so the
-    reduction of the integer resultant of the least-residue lifts equals the
-    mod-p one.
-    """
-    try:
-        return macaulay_resultant(*forms)
-    except MacaulayDegenerateError:
-        domain = forms[0].domain
-        if not isinstance(domain, PrimeField):
-            raise
-        return macaulay_resultant(*(_lift(g) for g in forms)) % domain.p
+    return macaulay_resultant(*partials)
 
 
 def normalization_constant(n: int) -> tuple[int, dict]:

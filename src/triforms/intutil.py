@@ -128,6 +128,8 @@ def integer_nth_root(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
+    if k >= n.bit_length():
+        return 1  # 1 <= n < 2**k
     if k == 2:
         return isqrt(n)
     # integer Newton from a power of two above the root: the iterates

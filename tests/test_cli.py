@@ -13,7 +13,8 @@ import pytest
 from triforms import cli
 from triforms.domains import QQ, ZZ
 from triforms.intutil import PRIME_PROOF_LIMIT
-from triforms.poly import VARS_XYZ, MultiPoly
+from triforms.matrices import act_ternary, mat3_from_json
+from triforms.poly import VARS_XYZ, MultiPoly, parse_poly
 from triforms.suites import _monomials, random_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -162,6 +163,37 @@ def test_act_subcommand(tmp_path):
     assert json.loads(proc.stdout)["result"] == "x^2 + y^2 + 4*z^2"
 
 
+def _dense_act_files(tmp_path, degree, gamma_bound=4):
+    rng = Random(degree)
+    form = tmp_path / "form.txt"
+    form.write_text(str(random_form(ZZ, rng, degree)))
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps([str(rng.randint(1, gamma_bound)) for _ in range(9)]))
+    return str(form), str(gamma)
+
+
+@pytest.mark.parametrize(
+    "degree, gamma_bound", [(80, 4), (40, 4), (12, 10**1000)],
+    ids=["degree-80", "degree-40", "tall-gamma"],
+)
+def test_act_over_its_bound_refused(degree, gamma_bound, tmp_path, capsys):
+    # a dense degree-80 form took 47 s and one of degree 40 with a dense
+    # gamma 35 s; 1000-digit gamma entries at degree 12 took 19 s
+    form, gamma = _dense_act_files(tmp_path, degree, gamma_bound)
+    start = time.perf_counter()
+    assert cli.main(["act", "--form", form, "--gamma", gamma]) == 1
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "budget"
+
+
+def test_act_within_its_bound_answers(tmp_path, capsys):
+    form, gamma = _dense_act_files(tmp_path, 12)
+    assert cli.main(["act", "--form", form, "--gamma", gamma]) == 0
+    f = parse_poly(Path(form).read_text())
+    expected = act_ternary(mat3_from_json(Path(gamma).read_text(), ZZ), f)
+    assert json.loads(capsys.readouterr().out) == {"result": str(expected)}
+
+
 def test_act_twisted_representation(tmp_path):
     gamma = tmp_path / "gamma.json"
     gamma.write_text(json.dumps(["2", "0", "0", "0", "2", "0", "0", "0", "2"]))
@@ -203,6 +235,42 @@ def test_tuple_equiv_beyond_float_range():
     proc = run_cli("tuple-equiv", "--t1", "1,1", "--t2", f"{2 * big},{big}")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"equivalent": False}
+
+
+def test_tuple_equiv_with_huge_weights_answers_at_once(capsys):
+    # no root or power of the weights' size is built: a root of order at
+    # least the radicand's bit length is 1, and a candidate whose power
+    # would outgrow the target is rejected by bit length
+    for weights in ("1000000000000000000,1500000000000000000", "4,1000000000000000000"):
+        start = time.perf_counter()
+        argv = ["tuple-equiv", "--t1", "1,1", "--t2", "16,64", "--weights", weights,
+                "--s-set", "2"]
+        assert cli.main(argv) == 0
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out) == {"equivalent": False}
+
+
+def test_main_is_stateless_with_its_shared_parser(tmp_path, capsys):
+    # one parser serves every call in a process; each call's output and exit
+    # code must be those of a fresh interpreter, whatever ran before it
+    fermat3 = str(FIXTURES / "fermat3.txt")
+    fermat4 = str(FIXTURES / "fermat4.txt")
+    calls = [
+        (["disc", "--form", fermat3], 0),
+        (["disc", "--form", fermat3, "--mod"], 2),
+        (["good-reduction", "--form", _gf_cubic(tmp_path, 11)], 1),
+        (["good-reduction", "--form", fermat4, "--s-set", "2"], 0),
+        (["good-reduction", "--form", fermat4], 0),
+        (["disc", "--form", fermat3], 0),
+    ]
+    for argv, code in calls:
+        assert cli.main(argv) == code, argv
+        out = capsys.readouterr().out
+        proc = run_cli(*argv)
+        assert (out, code) == (proc.stdout, proc.returncode), argv
+        if code == 1:
+            assert json.loads(out)["error"]["kind"] == "domain-mismatch"
+    assert json.loads(out)["raw"] != "0"
 
 
 def test_canonicalize_subcommand():

@@ -6,22 +6,30 @@ The generated inputs mix well-formed and malformed forms, matrices, primes
 (composite, 2, huge, beyond the primality-proof limit), weights and sizes.
 About half the examples are well-formed calls of the commands that compute
 (disc, good-reduction, cubic-invariants, generic), so the algebra behind
-them is fuzzed too, not only the parsing in front of it; the examples are
+them is fuzzed too, not only the parsing in front of it.  A second fuzz
+draws well-formed calls whose work grows with their inputs' size, act on
+forms up to degree 80 and tuple-equiv with weights up to 10**18, and
+requires each to answer or be refused at once.  The examples are
 derandomized, so every run draws the same ones.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from collections import Counter
 from itertools import count
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from triforms import cli, elimination
+from triforms.domains import ZZ
 from triforms.intutil import PRIME_PROOF_LIMIT
+from triforms.poly import MultiPoly
+from triforms.suites import random_form
 
 PRIMES = [
     "-7", "0", "1", "2", "3", "4", "9", "11", "13", "101", "561",
@@ -31,7 +39,9 @@ PRIMES = [
 ]
 SIZES = ["-3", "0", "1", "2", "10", str(10**9), "x", "2.5"]
 SCALARS = ["0", "1", "-1", "2", "3", "-5", "1/2", "-7/3", "1/0", "x", "", "9" * 40]
-WEIGHTS = ["4,6", "2,3", "1", "0,0", "-1,2", "4,6,8", "a,b", "", ",", "4,,6"]
+# the last two once made tuple-equiv build roots and powers of 10**18 bits
+WEIGHTS = ["4,6", "2,3", "1", "0,0", "-1,2", "4,6,8", "a,b", "", ",", "4,,6",
+           "1000000000000000000,1500000000000000000", "4,1000000000000000000"]
 
 TERNARY = ["x", "y", "z"]
 BIQUAD = ["x1", "x2", "x3", "z1", "z2", "z3"]
@@ -199,6 +209,36 @@ def algebra_invocations(draw):
     return [command, "--form", "FORM", *args], files
 
 
+@st.composite
+def high_degree_forms(draw):
+    """Integer ternary forms built from a drawn seed: of degree 12, dense or
+    cut to ten terms, which act answers; dense of degree 40 (35 s with a
+    dense gamma) and cut to ten terms at degree 80, which it refuses."""
+    rng = Random(draw(st.integers(0, 999)))
+    degree, terms = draw(st.sampled_from([(12, None), (12, 10), (40, None), (80, 10)]))
+    f = random_form(ZZ, rng, degree)
+    if terms is not None:
+        f = MultiPoly(ZZ, f.vars, dict(rng.sample(sorted(f.terms.items()), terms)))
+    return str(f)
+
+
+@st.composite
+def bounded_invocations(draw):
+    """Well-formed act calls on forms up to degree 80, and tuple-equiv calls
+    with weights up to 10**18."""
+    if draw(st.booleans()):
+        gamma = [str(draw(st.integers(-3, 3))) for _ in range(9)]
+        files = {"FORM": draw(high_degree_forms()), "GAMMA": json.dumps(gamma)}
+        return ["act", "--form", "FORM", "--gamma", "GAMMA"], files
+    values = st.sampled_from(["1", "-1", "4", "16", "64", "1/2", "1/64"])
+    return [
+        "tuple-equiv",
+        f"--t1={draw(values)},{draw(values)}",
+        f"--t2={draw(values)},{draw(values)}",
+        "--weights", draw(st.sampled_from(WEIGHTS[:2] + WEIGHTS[-2:])),
+    ], {}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -254,3 +294,29 @@ def test_cli_contract_holds_for_any_arguments(workdir, capsys, monkeypatch):
 
     contract()
     assert calls["reached"] >= RESULTANT_FLOOR, calls
+
+
+def test_inputs_that_grow_the_work_finish_or_are_refused(workdir, capsys):
+    codes = Counter()
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bounded_invocations())
+    def bounded(invocation):
+        argv, files = invocation
+        run = next(_RUN)
+        for name, text in files.items():
+            path = workdir / f"{name.lower()}{run}.txt"
+            path.write_text(text)
+            argv = [str(path) if a == name else a for a in argv]
+        start = time.perf_counter()
+        code = cli.main(argv)
+        assert time.perf_counter() - start < 2, argv
+        out = capsys.readouterr().out
+        assert code in (0, 1), (argv, code)
+        data = json.loads(out)
+        assert code == 0 or data["error"]["kind"] == "budget", (argv, data)
+        codes[argv[0], code] += 1
+
+    bounded()
+    assert codes["act", 0] and codes["act", 1] and codes["tuple-equiv", 0], codes

@@ -317,6 +317,20 @@ def test_tuples_equivalent_examples():
     assert tuples_equivalent(t1, InvariantTuple((16, 32), (4, 6)), set()) is None
 
 
+def test_tuples_equivalent_with_huge_weights_builds_no_huge_power():
+    # alpha = +-2 from the weight-4 anchor; 2**(10**18) is rejected by its
+    # bit length before it is built, while (+-1)**(10**18) is cheap
+    huge = (4, 10**18)
+    t1 = InvariantTuple((1, 1), huge)
+    assert tuples_equivalent(t1, InvariantTuple((16, 64), huge)) is None
+    assert tuples_equivalent(t1, InvariantTuple((16, 1), huge)) is None
+    w = tuples_equivalent(t1, InvariantTuple((1, 1), huge))
+    assert w is not None and w.alpha_candidates == (-1, 1) and w.alpha_power_d == 1
+    half = InvariantTuple((Fraction(1, 2), 0), huge)
+    assert tuples_equivalent(half, InvariantTuple((8, 0), huge)) is not None
+    assert tuples_equivalent(InvariantTuple((1, 3), huge), InvariantTuple((16, 0), huge)) is None
+
+
 def test_tuples_equivalent_weight_mismatch():
     with pytest.raises(VariableSetError):
         tuples_equivalent(

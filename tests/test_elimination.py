@@ -320,11 +320,48 @@ def test_raw_discriminant_mod_p_when_every_retry_degenerates():
         "4*x^3*y + 3*x^3*z + 3*x^2*y*z + x^2*z^2 + x*y^2*z + 4*x*y*z^2 + 2*y^3*z + 4*z^4"
     )
     fbar = f.reduce_mod_p(5)
-    with pytest.raises(MacaulayDegenerateError):
-        macaulay_resultant(*(fbar.partial_derivative(v) for v in fbar.vars))
+    partials = tuple(fbar.partial_derivative(v) for v in fbar.vars)
+    layout = _layout((3, 3, 3))
+    assert all(_quotient(layout, moved, 5) is None for moved in _sheared(partials))
     raw = discriminant(fbar, normalize=False).raw
-    assert raw == resultant_of_partials(f) % 5 != 0
+    assert raw == macaulay_resultant(*partials) == resultant_of_partials(f) % 5 != 0
     assert is_smooth_mod_p(f, 5) is True
+
+
+def test_gf2_triple_whose_retries_all_degenerate_has_resultant_1():
+    # no common zero over GF(2)-bar, yet every packed GF(2) retry degenerates;
+    # the integer resultant of the least-residue lifts is 1
+    forms = tuple(
+        parse_poly(t).reduce_mod_p(2) for t in ("y^2", "x*y + y^2 + z^2", "x^2 + y^2")
+    )
+    layout = _layout((2, 2, 2))
+    assert all(_quotient(layout, moved, 2) is None for moved in _sheared(forms))
+    assert macaulay_resultant(*forms) == 1
+    assert macaulay_resultant(*(_lift(g) for g in forms)) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sparse_mod_p_resultants_equal_the_lifts_resultant_mod_p(p, monkeypatch):
+    # the GF(p) resultant is the reduction of the integer one; triples are
+    # drawn, at degrees 1 to 3 and densities 0.3 to 0.6, until one has fallen
+    # back on the lifts (1 in 30 to 600 of them, by prime and seed)
+    lifted = []
+    original = elimination._lift
+
+    def counting(g):
+        lifted.append(g)
+        return original(g)
+
+    monkeypatch.setattr(elimination, "_lift", counting)
+    rng = Random(5100 + p)
+    trial = 0
+    while not lifted:
+        assert trial < 2000, "no triple reached the lift"
+        density = 0.3 + 0.1 * (trial // 3 % 4)
+        forms = tuple(_sparse_form(GF(p), rng, 1 + trial % 3, density) for _ in range(3))
+        lifts = tuple(original(g) for g in forms)
+        assert macaulay_resultant(*forms) == macaulay_resultant(*lifts) % p, forms
+        trial += 1
 
 
 def _reference_rank(rows):

@@ -12,6 +12,11 @@ ZZ and QQ discriminants (degrees 2 to 6, dense and sparse), resultants of
 integer triples (degrees 1 to 4), bad-prime profiles, and a quartic whose
 every shear retry degenerates.  Its hash was taken before the integer
 quotient was moved onto the packed layout's rows.
+
+A third sweep pins the cubic layer: both collapsed bracket expansions and
+the invariants (I, J) of seeded dense and sparse cubics over ZZ, QQ and
+GF(p), p in {5, 7, 10007}.  Its hash was taken before the bracket expansion
+was rewritten to fold each finished letter into its coefficient.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from random import Random
 
+from triforms import cubic
 from triforms.biquadratic import is_generic_mod_p
 from triforms.domains import GF, QQ, ZZ
 from triforms.elimination import (
@@ -35,6 +41,7 @@ from triforms.suites import random_form, random_form22
 GOLDEN_PRIMES = (2, 3, 5, 11, 13, 10007, 2**61 - 1)
 GOLDEN_SHA256 = "f1226fca54756da0aed51bf05ca1d8df969e6302c4090cf53e014ac2032f29eb"
 INTEGER_GOLDEN_SHA256 = "c9d2b4c46f62c6062c72584ad8c58c21bd31f309e1e3ff8596023e604a21bb01"
+CUBIC_GOLDEN_SHA256 = "17750cf63ea80ab9adec159cdef216158e53148229e094e96542ec8ca9e8a7b4"
 
 
 def _sparse(f: MultiPoly, rng: Random) -> MultiPoly:
@@ -103,3 +110,19 @@ def integer_golden_lines():
 def test_integer_outputs_match_their_golden_hash():
     digest = hashlib.sha256("\n".join(integer_golden_lines()).encode()).hexdigest()
     assert digest == INTEGER_GOLDEN_SHA256
+
+
+def cubic_golden_lines():
+    for symbol in (cubic._SYMBOL_DEG4, cubic._SYMBOL_DEG6):
+        for multiset, coeff in cubic._expand_symbol(symbol):
+            yield f"expand {symbol} {multiset} {coeff}"
+    rng = Random(16016)
+    for domain in (ZZ, QQ, GF(5), GF(7), GF(10007)):
+        for _ in range(4):
+            for f in (random_form(domain, rng, 3), _sparse(random_form(domain, rng, 3), rng)):
+                yield f"cubic {domain.name} {f} -> {_verdict(cubic.cubic_invariants, f)}"
+
+
+def test_cubic_outputs_match_their_golden_hash():
+    digest = hashlib.sha256("\n".join(cubic_golden_lines()).encode()).hexdigest()
+    assert digest == CUBIC_GOLDEN_SHA256

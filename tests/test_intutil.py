@@ -49,6 +49,18 @@ def test_roots_beyond_float_range_are_exact_and_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_root_of_order_beyond_the_bit_length_is_1_at_once():
+    # Newton from 2 would first build 2**(k - 1), a number of k bits
+    start = time.perf_counter()
+    for n in (1, 2, 16, 10**18):
+        assert integer_nth_root(n, max(n.bit_length(), 1)) == 1
+        assert integer_nth_root(n, 10**18) == 1
+    assert exact_nth_root(16, 10**18) is None
+    assert exact_nth_root(-1, 10**18 + 1) == -1
+    assert rational_nth_roots(Fraction(1, 16), 10**18) == []
+    assert time.perf_counter() - start < 1.0
+
+
 def test_root_order_must_be_positive():
     with pytest.raises(ValueError):
         integer_nth_root(8, 0)
