@@ -37,8 +37,13 @@ BRANCH_CHECK_MAX_POINTS = 250_000
 LATTICE_BOX_MAX_CELLS = 430_000
 
 # Milliseconds one raw discriminant (Bareiss over ZZ) of a dense ternary n-ic
-# with coefficients in [-9, 9] took on the same box, rounded up; the cost
-# grows ~4-8x per degree, and a dense nonic took 13 s.  With coefficients of
+# with coefficients in [-9, 9] took on the same box, rounded up, with a
+# Bareiss that rescaled every row at every step; the cost grows ~4-8x per
+# degree, and a dense nonic took 13 s.  With each row's own divisor
+# (elimination.det_bareiss) the same kind of form takes at most 0.7, 2.1,
+# 12, 72, 283 and 1145 ms at degrees 3 to 8 and 3.5-4.2 s at degree 9, so
+# the table over-charges about 2x at degree 5 and 3x at degrees 6 to 8; it
+# is kept as an upper bound.  With coefficients of
 # h bits it grew about as ((h + 6) / 10)^2, measured from 1 to 100 digits at
 # degrees 4 to 8 (a sextic: 0.18 s at one digit, 2.2 s at 10, 5.7 s at 20,
 # 21 s at 40); the estimate was never below a measured time and up to 5x
@@ -56,14 +61,20 @@ DISC_MAX_MS = 10_000
 # one-digit entries, took 13-20 ns a unit over ZZ and GF(p) at degrees 12 to
 # 40 (2.4 s at degree 26, 35 s at 40) and ~80 ns over QQ, charged four
 # times as much.  A sparse form of high degree costs less than that per
-# term, and a gamma with zeros far less; both are charged as dense.  With b
-# the bits of the result's coefficients, f's height plus n times gamma's
-# (cleared of denominators, 4 over GF(p), as for disc), the cost grew about
-# as ((b + 2000) / 2000)^2, measured up to 40 000 bits at degrees 12 and 20.
-# The estimate was 1.6-3x above every time measured from degree 10 to 26, so
-# act, refusing an estimate over ACT_MAX_MS before computing, answers what
-# takes up to a few seconds.
+# term, and a gamma with zeros far less; both are charged as dense, but for
+# a monomial gamma (one nonzero entry in each row and column), which maps
+# each term to one term and is charged ACT_MONOMIAL_UNIT_NS a term instead:
+# with one-digit entries it took 15-27 us a term over ZZ and GF(p) and ~24 us
+# over QQ, from degree 40 (12-22 ms) to 160.  With b the bits of the
+# result's coefficients, f's height plus n times gamma's (cleared of
+# denominators, 4 over GF(p), as for disc), the cost grew about as
+# ((b + 2000) / 2000)^2, measured up to 40 000 bits at degrees 12 and 20;
+# for a monomial gamma with 10**100 or 10**1000 entries that factor is 4-45x
+# above the measured growth.  The estimate was 1.6-3x above every time
+# measured from degree 10 to 26, so act, refusing an estimate over
+# ACT_MAX_MS before computing, answers what takes up to a few seconds.
 ACT_UNIT_NS = 30
+ACT_MONOMIAL_UNIT_NS = 40_000
 ACT_MAX_MS = 10_000
 
 # Largest good-reduction --trial-bound.  The primes up to the bound stay in
@@ -147,8 +158,13 @@ def _act_cost_ms(f: MultiPoly, gamma: Mat3) -> int:
     bits = _height_bits(f.domain, f.terms.values()) + n * _height_bits(
         gamma.domain, gamma.to_flat()
     )
-    unit_ns = ACT_UNIT_NS * (4 if f.domain == QQ else 1)
-    work_ns = len(f.terms) * (n + 2) ** 4 * unit_ns * (bits + 2000) ** 2
+    lines = gamma.rows + tuple(zip(*gamma.rows))
+    if all(sum(1 for a in line if a) == 1 for line in lines):
+        unit_ns = ACT_MONOMIAL_UNIT_NS
+    else:
+        unit_ns = ACT_UNIT_NS * (n + 2) ** 4
+    unit_ns *= 4 if f.domain == QQ else 1
+    work_ns = len(f.terms) * unit_ns * (bits + 2000) ** 2
     return -(-work_ns // (2000**2 * 10**6))
 
 

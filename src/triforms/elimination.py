@@ -27,7 +27,13 @@ Macaulay matrix is a form shifted up by the fields of its multiplier.  M is
 those rows, M' the same rows cut to its columns; rows and columns are both
 in field order, so neither determinant changes.  Over the integers the rows
 are dense lists, one entry per column, and their determinants are
-fraction-free Bareiss.  Over prime fields each form is packed into one
+fraction-free Bareiss (Math. Comp. 1968) in which each row keeps its own
+divisor: the pivot of the last step that updated it.  A step at which a
+row's lead is zero would only multiply it by p_k / p_(k-1), and these
+factors telescope to p_(k-1) / p_j over the steps since its last update
+j, so such a row is not touched, and an updated row is divided by p_j
+instead of p_(k-1).  Macaulay rows in field order start late, so most rows
+skip most steps.  Over prime fields each form is packed into one
 Python integer, w bits a field, each row is a shift of it, and M' is M's
 rows masked.  ``_eliminate_mod_p`` reduces them row by row, and scales each
 pivot row with every field reduced at once by division by an invariant
@@ -68,34 +74,52 @@ from .poly import MultiPoly
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destroys its input)."""
+    """Fraction-free determinant of an integer matrix (destroys its input).
+
+    Bareiss's elimination (Math. Comp. 1968) with the row's own divisor.
+    ``pivots[0]`` is 1 and ``pivots[k + 1]`` the pivot of step k;
+    ``since[i]`` is 0 or the step after the last one that updated row i,
+    and moves with the row when it is swapped.  Bareiss's step k would
+    multiply a row with a zero lead by pivots[k + 1] / pivots[k]; these
+    factors telescope, so the true row before step k is the stored row
+    times pivots[k] / pivots[since[i]], and such a row is not touched.  A
+    row with lead l becomes (pivot * a - l * b) / pivots[since[i]], with b
+    the pivot row brought up to date: the true update divided by
+    pivots[k], the same factor on both sides cancelled.  The pivot row is
+    brought up to date once, at its step, and the last entry once, before
+    it is returned.  Every division is exact, each quotient being a minor
+    of the input.
+    """
     n = len(rows)
     if n == 0:
         return 1
     sign = 1
-    prev = 1
+    pivots = [1]
+    since = [0] * n
     for k in range(n - 1):
         if rows[k][k] == 0:
             for r in range(k + 1, n):
                 if rows[r][k] != 0:
                     rows[k], rows[r] = rows[r], rows[k]
+                    since[k], since[r] = since[r], since[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = rows[k][k]
-        tail = rows[k][k + 1 :]
+        pivot, tail = rows[k][k], rows[k][k + 1 :]
+        if since[k] != k:
+            prev, own = pivots[k], pivots[since[k]]
+            pivot, tail = pivot * prev // own, [a * prev // own for a in tail]
+        pivots.append(pivot)
         for i in range(k + 1, n):
             row = rows[i]
             lead = row[k]
             if lead:
-                row[k + 1 :] = [
-                    (pivot * a - lead * b) // prev for a, b in zip(row[k + 1 :], tail)
-                ]
-            elif prev != pivot:
-                row[k + 1 :] = [pivot * a // prev for a in row[k + 1 :]]
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
+                own = pivots[since[i]]
+                row[k + 1 :] = [(pivot * a - lead * b) // own for a, b in zip(row[k + 1 :], tail)]
+                since[i] = k + 1
+    last = rows[n - 1][n - 1] * pivots[n - 1] // pivots[since[n - 1]]
+    return sign * last
 
 
 def det_mod_p(rows: list[list[int]], p: int) -> int:
@@ -621,21 +645,34 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     """Rank of an integer matrix by fraction-free elimination (destroys its input).
 
     Bareiss's update, with a column passed over when no remaining row is
-    nonzero there.  Every entry stays a minor of the input (Sylvester's
-    identity on the pivot columns so far), so each division is exact.
+    nonzero there, and each row's own divisor as in ``det_bareiss``: a row
+    with a zero lead is not touched, one with lead l becomes
+    (pivot * a - l * b) / pivots[since[i]], with the pivot row brought up to
+    date, and the steps are counted by rank, not column.  Every entry of an
+    updated row is a minor of the input (Sylvester's identity on the pivot
+    columns so far), so each division is exact; a stored row is its true
+    Bareiss row times a nonzero ratio of pivots, so it has the same zeros.
     """
-    rank, prev = 0, 1
+    pivots, since = [1], [0] * len(rows)
+    rank = 0
     for col in range(len(rows[0]) if rows else 0):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        tail = rows[rank][col:]
-        pivot = tail[0]
-        for row in rows[rank + 1 :]:
+        since[rank], since[piv] = since[piv], since[rank]
+        pivot, tail = rows[rank][col], rows[rank][col + 1 :]
+        if since[rank] != rank:
+            prev, own = pivots[rank], pivots[since[rank]]
+            pivot, tail = pivot * prev // own, [a * prev // own for a in tail]
+        pivots.append(pivot)
+        for i in range(rank + 1, len(rows)):
+            row = rows[i]
             lead = row[col]
-            row[col:] = [(pivot * a - lead * b) // prev for a, b in zip(row[col:], tail)]
-        prev = pivot
+            if lead:
+                own = pivots[since[i]]
+                row[col + 1 :] = [(pivot * a - lead * b) // own for a, b in zip(row[col + 1 :], tail)]
+                since[i] = rank + 1
         rank += 1
     return rank
 

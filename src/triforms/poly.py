@@ -64,6 +64,20 @@ def _max_exponent(terms) -> int:
     return max(chain.from_iterable(terms), default=0)
 
 
+def _add_into(terms: dict, other: dict, dom) -> None:
+    """Add the terms of ``other`` into ``terms`` in place, dropping zeros."""
+    for exps, coeff in other.items():
+        cur = terms.get(exps)
+        if cur is None:
+            terms[exps] = coeff
+        else:
+            s = dom.add(cur, coeff)
+            if dom.is_zero(s):
+                del terms[exps]
+            else:
+                terms[exps] = s
+
+
 class MultiPoly:
     """Immutable sparse polynomial over an exact domain."""
 
@@ -196,19 +210,9 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        dom = self.domain
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            cur = terms.get(exps)
-            if cur is None:
-                terms[exps] = coeff
-            else:
-                s = dom.add(cur, coeff)
-                if dom.is_zero(s):
-                    del terms[exps]
-                else:
-                    terms[exps] = s
-        return MultiPoly._trusted(dom, self.vars, terms)
+        _add_into(terms, other.terms, self.domain)
+        return MultiPoly._trusted(self.domain, self.vars, terms)
 
     def __neg__(self):
         dom = self.domain
@@ -321,14 +325,14 @@ class MultiPoly:
                 cache[e] = cache[e - 1] * images[j] if e - 1 in cache else images[j] ** e
             return cache[e]
 
-        result = MultiPoly._trusted(dom, self.vars, {})
+        result: dict[tuple[int, ...], object] = {}
         for exps, coeff in self.terms.items():
             term = MultiPoly._trusted(dom, self.vars, {constant: coeff})
             for j, e in enumerate(exps):
                 if e:
                     term = term * power(j, e)
-            result = result + term
-        return result
+            _add_into(result, term.terms, dom)
+        return MultiPoly._trusted(dom, self.vars, result)
 
     def evaluate(self, point):
         """Evaluate at a full point given as {var: value} or a sequence."""

@@ -194,6 +194,23 @@ def test_act_within_its_bound_answers(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"result": str(expected)}
 
 
+@pytest.mark.parametrize(
+    "entries", [(1, 0, 0, 0, 1, 0, 0, 0, 2), (0, 3, 0, 0, 0, -2, 1, 0, 0)],
+    ids=["diagonal", "scaled-permutation"],
+)
+def test_act_with_a_monomial_gamma_answers_at_degree_40(entries, tmp_path, capsys):
+    # a gamma with one nonzero entry in each row and column maps each term
+    # to one term, ~20 ms on a dense degree-40 form; charged as a dense
+    # gamma, the estimate was 83 s
+    form, _ = _dense_act_files(tmp_path, 40)
+    gamma = tmp_path / "monomial.json"
+    gamma.write_text(json.dumps([str(a) for a in entries]))
+    assert cli.main(["act", "--form", form, "--gamma", str(gamma)]) == 0
+    f = parse_poly(Path(form).read_text())
+    expected = act_ternary(mat3_from_json(gamma.read_text(), ZZ), f)
+    assert json.loads(capsys.readouterr().out) == {"result": str(expected)}
+
+
 def test_act_twisted_representation(tmp_path):
     gamma = tmp_path / "gamma.json"
     gamma.write_text(json.dumps(["2", "0", "0", "0", "2", "0", "0", "0", "2"]))

@@ -56,6 +56,128 @@ def test_bareiss_matches_cofactor_expansion(rng):
         assert det_bareiss([row[:] for row in rows]) == expected
 
 
+def _rational_echelon(rows):
+    """Rank, and the determinant of a square matrix, by Gaussian elimination
+    over Fraction: the product of the pivots with the sign of the swaps, 0
+    when the rank is short."""
+    rows = [[Fraction(a) for a in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        det *= rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            if factor:
+                rows[r][col:] = [a - factor * b for a, b in zip(rows[r][col:], rows[rank][col:])]
+        rank += 1
+    return rank, det if rank == len(rows) else 0
+
+
+def _lazy_divisor_cases(n, rng):
+    """Square integer matrices of size n that take every path of a Bareiss
+    elimination whose rows keep their own divisor, by name:
+
+    - ``staircase``: row i is zero left of a column start_i <= i, the starts
+      ascending, so rows start late and sit untouched for several steps;
+    - ``zero-runs``: dense, but each row zero over a run of columns, so its
+      lead vanishes for several steps in a row after it was updated;
+    - ``lagged-swap``: dense rows, then staircase rows in swapped pairs, the
+      first of each pair a multiple of row 0 plus a row that starts one
+      column late; at its step it has been updated once, has a zero lead and
+      is swapped for a row that was never updated;
+    - ``lagged-last``: dense, but the last row zero except its last entry,
+      so it is never updated and only the final rescale brings it up;
+    - ``zero-column``: a column that is a combination of earlier ones, so
+      it has no pivot once they are eliminated (determinant 0).
+    """
+
+    def entry():
+        return rng.randint(-9, 9)
+
+    dense = [[entry() for _ in range(n)] for _ in range(n)]
+    starts = sorted(rng.randint(0, i) for i in range(n))
+    staircase = [[0] * s + [entry() for _ in range(n - s)] for s in starts]
+    zero_runs = [row[:] for row in dense]
+    for row in zero_runs:
+        a = rng.randint(0, n)
+        b = min(n, a + rng.randint(0, n // 2 + 1))
+        row[a:b] = [0] * (b - a)
+    top = max(1, n // 3)
+    lagged_swap = [row[:] for row in dense[:top]]
+    if n:
+        lagged_swap[0][0] = lagged_swap[0][0] or 1
+    for i in range(top, n):
+        start = i + 1 if (i - top) % 2 == 0 and i + 1 < n else i - ((i - top) % 2)
+        row = [0] * start + [entry() or 1 for _ in range(n - start)]
+        if start > i:
+            c = rng.choice((-2, -1, 1, 2))
+            row = [a + c * b for a, b in zip(row, lagged_swap[0])]
+        lagged_swap.append(row)
+    lagged_last = [row[:] for row in dense]
+    if n >= 2:
+        lagged_last[-1] = [0] * (n - 1) + [entry() or 1]
+    cases = {
+        "dense": dense,
+        "staircase": staircase,
+        "zero-runs": zero_runs,
+        "lagged-swap": lagged_swap,
+        "lagged-last": lagged_last,
+    }
+    if n >= 3:
+        c = rng.randint(2, n - 1)
+        weights = [rng.choice((-1, 0, 1)) for _ in range(c)]
+        zero_column = [row[:] for row in dense]
+        for row in zero_column:
+            row[c] = sum(u * a for u, a in zip(weights, row))
+        cases["zero-column"] = zero_column
+    return cases
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6, 9, 14, 21, 40])
+def test_bareiss_kernels_match_rational_elimination(n):
+    rng = Random(4000 + n)
+    for _ in range(3 if n < 40 else 1):
+        for name, rows in _lazy_divisor_cases(n, rng).items():
+            rank, det = _rational_echelon(rows)
+            assert det_bareiss([row[:] for row in rows]) == det, name
+            assert _rank_bareiss([row[:] for row in rows]) == rank, name
+            # a dependent extra row adds no rank; a zero column in front
+            # moves every step one column on
+            if rows:
+                extra = [a - 2 * b for a, b in zip(rows[0], rows[-1])]
+                assert _rank_bareiss([row[:] for row in rows] + [extra]) == rank, name
+            assert _rank_bareiss([[0] + row for row in rows]) == rank, name
+
+
+def _macaulay_matrices(n, rng):
+    """The square M and M' that the integer quotient of a raw discriminant
+    builds for an n-ic (a dense form, a sparse one), and the rows of every
+    multiple that the exact rank certificate eliminates."""
+    layout = _layout((n - 1,) * 3)
+    for density in (1.0, 0.4):
+        f = _sparse_form(ZZ, rng, n, density)
+        terms = [g.terms.items() for g in (f.partial_derivative(v) for v in f.vars)]
+        minor_pairs = [layout.rows[i] for i in layout.minor_rows]
+        yield "M", _integer_rows(layout, terms, layout.rows, layout.columns)
+        yield "M'", _integer_rows(layout, terms, minor_pairs, layout.minor_columns)
+        yield "all", _integer_rows(layout, terms, layout.rows + layout.spare, layout.columns)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bareiss_kernels_on_macaulay_matrices(n):
+    rng = Random(6000 + n)
+    for name, rows in _macaulay_matrices(n, rng):
+        rank, det = _rational_echelon(rows)
+        if name != "all":
+            assert det_bareiss([row[:] for row in rows]) == det, name
+        assert _rank_bareiss([row[:] for row in rows]) == rank, name
+
+
 def _kernel_cases(n, p, rng):
     """Matrices for the mod-p determinant: dense with entries far outside
     [0, p), sparse, a zero column, a singular one (row dependency) and one
@@ -364,22 +486,6 @@ def test_sparse_mod_p_resultants_equal_the_lifts_resultant_mod_p(p, monkeypatch)
         trial += 1
 
 
-def _reference_rank(rows):
-    """Rank by Gaussian elimination over Fraction."""
-    rows = [[Fraction(a) for a in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / rows[rank][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def test_rank_bareiss_matches_rational_elimination(rng):
     for _ in range(60):
         n_rows, n_cols, true_rank = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
@@ -388,7 +494,7 @@ def test_rank_bareiss_matches_rational_elimination(rng):
                  for _ in range(true_rank)]
         rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if right
                 else [0] * n_cols for row in left]
-        assert _rank_bareiss([row[:] for row in rows]) == _reference_rank(rows)
+        assert _rank_bareiss([row[:] for row in rows]) == _rational_echelon(rows)[0]
 
 
 def test_integer_discriminant_when_every_retry_degenerates():
@@ -457,6 +563,84 @@ def test_discriminant_homogeneity(n, rng):
         f = random_form(ZZ, rng, n, 5)
         c = rng.choice((-3, -2, 2, 3, 5))
         assert resultant_of_partials(f.scale(c)) == c ** (3 * (n - 1) ** 2) * resultant_of_partials(f)
+
+
+def _sylvester(a, b):
+    """The Sylvester matrix of two binary forms of positive degree, each a
+    coefficient list with the highest power of the first variable first."""
+    da, db = len(a) - 1, len(b) - 1
+    return [[0] * i + a + [0] * (db - 1 - i) for i in range(db)] + [
+        [0] * i + b + [0] * (da - 1 - i) for i in range(da)
+    ]
+
+
+def _euler_oracle(f):
+    """Res(f_x, f_y, f_z) of an integer n-ic by Euler's identity, or None.
+
+    n f = x f_x + y f_y + z f_z, and a resultant is unchanged when its first
+    form gains multiples of the others and multiplicative in that form, so
+    n^((n-1)^2) Res(f, f_y, f_z) = Res(x, f_y, f_z) Res(f_x, f_y, f_z), where
+    Res(x, f_y, f_z) is the Sylvester resultant of f_y(0, y, z) and
+    f_z(0, y, z) (a Fraction elimination).  Res(f, f_y, f_z) is the Macaulay
+    quotient of degrees (n, n-1, n-1), two determinants of other sizes than
+    the raw value's.  Swapping two variables leaves the raw value alone (the
+    transposition has determinant -1 and n(n-1)^2 is even), so y and then z
+    take the place of x when a denominator vanishes; None when one vanishes
+    for all three.
+    """
+    n = f.homogeneous_degree()
+    layout = _layout((n, n - 1, n - 1))
+    for swap in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+        g = MultiPoly(ZZ, f.vars, {tuple(e[i] for i in swap): c for e, c in f.terms.items()})
+        _, gy, gz = (g.partial_derivative(v) for v in g.vars)
+        binary = [[h.coefficient((0, n - 1 - j, j)) for j in range(n)] for h in (gy, gz)]
+        sylvester = _rational_echelon(_sylvester(*binary))[1]
+        middle = _quotient(layout, (g, gy, gz), None) if sylvester else None
+        if middle is not None:
+            value = Fraction(n ** ((n - 1) ** 2) * middle, sylvester)
+            assert value.denominator == 1, f
+            return value.numerator
+    return None
+
+
+def test_raw_discriminants_match_the_euler_identity_oracle():
+    # seeded forms of degree 2-6: dense and sparse over ZZ, dense over QQ
+    # (cleared of denominators for the oracle) and over GF(p) (against the
+    # oracle's value of the least-residue lift, reduced mod p)
+    rng = Random(7717)
+    checked, skipped = Counter(), Counter()
+    for n in range(2, 7):
+        for k in range(8 if n < 6 else 4):
+            if k % 4 == 0:
+                f = random_form(ZZ, rng, n, 9)
+            elif k % 4 == 1:
+                f = _sparse_form(ZZ, rng, n, 0.7)
+            elif k % 4 == 2:
+                f = random_form(QQ, rng, n, 9)
+            else:
+                f = random_form(GF(rng.choice((5, 7, 10007))), rng, n, 10**4)
+            if f.domain == QQ:
+                scale = 1
+                for c in f.terms.values():
+                    scale = scale * c.denominator // gcd(scale, c.denominator)
+                expected = _euler_oracle(f.scale(scale).to_integers())
+                if expected is not None:
+                    expected = Fraction(expected, scale ** (3 * (n - 1) ** 2))
+            elif f.domain == ZZ:
+                expected = _euler_oracle(f)
+            else:
+                expected = _euler_oracle(_lift(f))
+                if expected is not None:
+                    expected %= f.domain.p
+            if expected is None:
+                skipped[f.domain.name] += 1
+                continue
+            assert resultant_of_partials(f) == expected, f
+            checked["GF(p)" if f.domain not in (ZZ, QQ) else f.domain.name] += 1
+    assert sum(checked.values()) >= 30 and all(checked[d] >= 8 for d in ("ZZ", "QQ", "GF(p)")), (
+        checked,
+        skipped,
+    )
 
 
 def test_discriminant_report_consistency():
