@@ -19,7 +19,10 @@ variables produces two sextic covariants,
 
 These are independent of the coset representative and satisfy exact
 covariance laws under the twisted action; both facts are verified by the
-test suite, symbolically and on random samples.
+test suite, symbolically and on random samples.  A Gram matrix is
+symmetric, so its adjugate has six distinct cofactors; a covariant adds
+each one's two products of entries, times b_i b_j and doubled off the
+diagonal, straight into one term map (``_adjugate_contraction``).
 
 Over a finite field of odd characteristic, a point of the projective plane
 lies on the branch locus of the corresponding projection exactly when the
@@ -61,8 +64,15 @@ from .finitefield import (
     evaluate_terms_ext,
     ternary_zeros_ext,
 )
-from .matrices import Mat3, adjugate3, block_substitution
-from .poly import VARS_BIQUAD, MultiPoly, _monomial_key
+from .matrices import Mat3, block_substitution
+from .poly import (
+    MAX_EXPONENT,
+    VARS_BIQUAD,
+    MultiPoly,
+    _max_exponent,
+    _monomial_key,
+    _mul_into,
+)
 
 X_BLOCK = ("x1", "x2", "x3")
 Z_BLOCK = ("z1", "z2", "z3")
@@ -348,7 +358,9 @@ def gram_in_block(f: MultiPoly, block) -> tuple:
     dom = f.domain
     idx = [f.vars.index(b) for b in block]
     # each term of f lands in one entry (two mirrored ones off the diagonal)
-    # under its own remaining exponents, so no entry ever sums two terms
+    # under its own remaining exponents, so no entry ever sums two terms, and
+    # its coefficient (or its half, in odd characteristic) stays canonical
+    # and nonzero
     entries = [[{} for _ in range(3)] for _ in range(3)]
     for exps, coeff in f.terms.items():
         block_exps = [exps[k] for k in idx]
@@ -363,17 +375,7 @@ def gram_in_block(f: MultiPoly, block) -> tuple:
             entries[hot[0]][hot[0]][rest] = coeff
         else:
             entries[hot[0]][hot[1]][rest] = entries[hot[1]][hot[0]][rest] = dom.halve(coeff)
-    return tuple(tuple(MultiPoly(dom, f.vars, terms) for terms in row) for row in entries)
-
-
-def contract_with_block(m, f_vars, block, domain) -> MultiPoly:
-    """(b) m (b)^t for the block variables."""
-    total = MultiPoly.zero(domain, f_vars)
-    bvars = [MultiPoly.variable(domain, f_vars, b) for b in block]
-    for i in range(3):
-        for j in range(3):
-            total = total + bvars[i] * bvars[j] * m[i][j]
-    return total
+    return tuple(tuple(MultiPoly._trusted(dom, f.vars, terms) for terms in row) for row in entries)
 
 
 @dataclass(frozen=True)
@@ -395,10 +397,45 @@ def gram_matrices(f) -> GramPair:
     )
 
 
+# Adj(G) of a symmetric G is symmetric, with six distinct cofactors, each a
+# difference of two products of entries: rows (i, j, weight, (a, b), (c, d))
+# add weight * b_i b_j * G[a][b] G[c][d] to (b) Adj(G) (b)^t, the weight
+# carrying the cofactor's sign and doubling the off-diagonal ones
+_COFACTOR_PRODUCTS = (
+    (0, 0, 1, (1, 1), (2, 2)), (0, 0, -1, (1, 2), (1, 2)),
+    (1, 1, 1, (0, 0), (2, 2)), (1, 1, -1, (0, 2), (0, 2)),
+    (2, 2, 1, (0, 0), (1, 1)), (2, 2, -1, (0, 1), (0, 1)),
+    (0, 1, 2, (0, 2), (1, 2)), (0, 1, -2, (0, 1), (2, 2)),
+    (0, 2, 2, (0, 1), (1, 2)), (0, 2, -2, (0, 2), (1, 1)),
+    (1, 2, 2, (0, 1), (0, 2)), (1, 2, -2, (0, 0), (1, 2)),
+)
+
+
 def _adjugate_contraction(gram, block) -> MultiPoly:
-    """(b) Adj(gram) (b)^t for the block variables: one side's sextic covariant."""
+    """(b) Adj(gram) (b)^t for the block variables: one side's sextic covariant.
+
+    gram must be symmetric.  Each of its twelve cofactor products is added
+    straight into one term map, its first factor's terms shifted by the
+    block exponents of b_i b_j and scaled by the row's weight.  Generic in
+    the coefficient ring and the variable set, so entries may carry extra
+    indeterminates.
+    """
     entry = gram[0][0]
-    return contract_with_block(adjugate3(gram), entry.vars, block, entry.domain)
+    dom, variables = entry.domain, entry.vars
+    idx = [variables.index(b) for b in block]
+    terms: dict = {}
+    for i, j, weight, (a, b), (c, d) in _COFACTOR_PRODUCTS:
+        scale = dom.from_int(weight)
+        shifted = {}
+        for exps, coeff in gram[a][b].terms.items():
+            exps = list(exps)
+            exps[idx[i]] += 1
+            exps[idx[j]] += 1
+            shifted[tuple(exps)] = dom.mul(coeff, scale)
+        _mul_into(terms, shifted, gram[c][d].terms, dom)
+    if _max_exponent(terms) > MAX_EXPONENT:
+        return MultiPoly(dom, variables, terms)
+    return MultiPoly._trusted(dom, variables, terms)
 
 
 def _covariant(f, own_block, other_block) -> MultiPoly:

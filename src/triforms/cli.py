@@ -67,14 +67,21 @@ DISC_MAX_MS = 10_000
 # with one-digit entries it took 15-27 us a term over ZZ and GF(p) and ~24 us
 # over QQ, from degree 40 (12-22 ms) to 160.  With b the bits of the
 # result's coefficients, f's height plus n times gamma's (cleared of
-# denominators, 4 over GF(p), as for disc), the cost grew about as
-# ((b + 2000) / 2000)^2, measured up to 40 000 bits at degrees 12 and 20;
-# for a monomial gamma with 10**100 or 10**1000 entries that factor is 4-45x
-# above the measured growth.  The estimate was 1.6-3x above every time
-# measured from degree 10 to 26, so act, refusing an estimate over
-# ACT_MAX_MS before computing, answers what takes up to a few seconds.
+# denominators, 4 over GF(p), as for disc), the cost of a dense gamma grew
+# about as ((b + 2000) / 2000)^2, measured up to 40 000 bits at degrees 12
+# and 20.  A monomial gamma's products mostly have one tall factor, and its
+# cost grew about as (b + ACT_MONOMIAL_BITS) / ACT_MONOMIAL_BITS: a scaled
+# permutation with 10**50 to 10**4300 entries on dense ZZ forms of degree 4
+# to 160 (up to 430 000 bits) took 1.5-14x less than that estimate (1.3 s
+# against 5.5 s at degree 40 with 10**1000 entries), where the squared
+# factor charged up to 1000x the time.  The dense estimate was 1.6-3x above
+# every time measured, so act, refusing an estimate over ACT_MAX_MS before
+# computing, answers what takes up to a few seconds.  A result whose
+# coefficients pass Python's 4300-digit printing limit is computed and then
+# refused with kind budget (``Domain.fmt``).
 ACT_UNIT_NS = 30
 ACT_MONOMIAL_UNIT_NS = 40_000
+ACT_MONOMIAL_BITS = 800
 ACT_MAX_MS = 10_000
 
 # Largest good-reduction --trial-bound.  The primes up to the bound stay in
@@ -160,12 +167,12 @@ def _act_cost_ms(f: MultiPoly, gamma: Mat3) -> int:
     )
     lines = gamma.rows + tuple(zip(*gamma.rows))
     if all(sum(1 for a in line if a) == 1 for line in lines):
-        unit_ns = ACT_MONOMIAL_UNIT_NS
+        unit_ns, height, base = ACT_MONOMIAL_UNIT_NS, bits + ACT_MONOMIAL_BITS, ACT_MONOMIAL_BITS
     else:
-        unit_ns = ACT_UNIT_NS * (n + 2) ** 4
+        unit_ns, height, base = ACT_UNIT_NS * (n + 2) ** 4, (bits + 2000) ** 2, 2000**2
     unit_ns *= 4 if f.domain == QQ else 1
-    work_ns = len(f.terms) * unit_ns * (bits + 2000) ** 2
-    return -(-work_ns // (2000**2 * 10**6))
+    work_ns = len(f.terms) * unit_ns * height
+    return -(-work_ns // (base * 10**6))
 
 
 def _emit(data) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainMismatchError, PrimeError
+from .errors import BudgetExceededError, DomainMismatchError, PrimeError
 from .intutil import PRIME_PROOF_LIMIT, is_prime
 
 
@@ -78,7 +78,13 @@ class Domain:
         return result
 
     def fmt(self, a) -> str:
-        return str(a)
+        """The value's text; a budget refusal for an integer (or a rational's
+        numerator or denominator) longer than Python converts to decimal,
+        4300 digits by default (``sys.set_int_max_str_digits``)."""
+        try:
+            return str(a)
+        except ValueError as exc:
+            raise BudgetExceededError(f"a coefficient is too long to print: {exc}") from exc
 
     def parse(self, text: str):
         raise NotImplementedError
@@ -190,9 +196,6 @@ class RationalDomain(Domain):
 
     def from_int(self, n):
         return Fraction(n)
-
-    def fmt(self, a):
-        return str(a)
 
     def parse(self, text):
         try:

@@ -78,6 +78,23 @@ def _add_into(terms: dict, other: dict, dom) -> None:
                 terms[exps] = s
 
 
+def _mul_into(terms: dict, left: dict, right: dict, dom) -> None:
+    """Add the product of two term maps into ``terms`` in place, dropping zeros."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exps = tuple(map(add, e1, e2))
+            prod = dom.mul(c1, c2)
+            cur = terms.get(exps)
+            if cur is None:
+                terms[exps] = prod
+            else:
+                s = dom.add(cur, prod)
+                if dom.is_zero(s):
+                    del terms[exps]
+                else:
+                    terms[exps] = s
+
+
 class MultiPoly:
     """Immutable sparse polynomial over an exact domain."""
 
@@ -227,19 +244,7 @@ class MultiPoly:
         if not self.terms or not other.terms:
             return MultiPoly._trusted(dom, self.vars, {})
         result: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(add, e1, e2))
-                prod = dom.mul(c1, c2)
-                cur = result.get(exps)
-                if cur is None:
-                    result[exps] = prod
-                else:
-                    s = dom.add(cur, prod)
-                    if dom.is_zero(s):
-                        del result[exps]
-                    else:
-                        result[exps] = s
+        _mul_into(result, self.terms, other.terms, dom)
         # products of nonzero coefficients are nonzero (every domain is an
         # integral domain); only the exponent bound can still fail
         if _max_exponent(self.terms) + _max_exponent(other.terms) > MAX_EXPONENT:

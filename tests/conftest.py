@@ -67,6 +67,16 @@ def singular_points_fp2(fbar: MultiPoly, p: int) -> list:
     ]
 
 
+def contract_with_block(m, f_vars, block, domain) -> MultiPoly:
+    """(b) m (b)^t for the block variables, summed entry by entry as MultiPolys."""
+    total = MultiPoly.zero(domain, f_vars)
+    bvars = [MultiPoly.variable(domain, f_vars, b) for b in block]
+    for i in range(3):
+        for j in range(3):
+            total = total + bvars[i] * bvars[j] * m[i][j]
+    return total
+
+
 def sampled_content(n: int, samples: int = 24, seed: int = 555, bound: int = 6) -> int:
     """gcd of the raw discriminants of seeded random integer n-ics.
 

@@ -11,6 +11,7 @@ from triforms.biquadratic import (
     Class22,
     Z_BLOCK,
     _MONOMIALS_22,
+    _adjugate_contraction,
     act_22,
     branch_locus_report,
     canonicalize,
@@ -39,11 +40,11 @@ from triforms.errors import (
 )
 from triforms.finitefield import QuadExtension, evaluate_terms_ext, projective_points_ext
 from triforms.fixtures import diagonal_22_cycle, diagonal_22_same, sigma_squared
-from triforms.matrices import Mat3
+from triforms.matrices import Mat3, adjugate3
 from triforms.poly import VARS_BIQUAD, MultiPoly, parse_poly
-from triforms.suites import random_bilinear, random_form22, random_invertible
+from triforms.suites import random_bilinear, random_form22, random_invertible, random_scalar
 
-from conftest import projective_points_prime, singular_points_fp2
+from conftest import contract_with_block, projective_points_prime, singular_points_fp2
 
 
 # -- canonicalization ------------------------------------------------------------
@@ -168,8 +169,6 @@ def test_gram_symmetrization_halves():
 
 
 def test_gram_contraction_roundtrip(rng):
-    from triforms.biquadratic import contract_with_block
-
     for _ in range(100):
         f = random_form22(QQ, rng)
         pair = gram_matrices(f)
@@ -177,6 +176,36 @@ def test_gram_contraction_roundtrip(rng):
         rebuilt_z = contract_with_block(pair.in_z, VARS_BIQUAD, Z_BLOCK, QQ)
         assert rebuilt_x == f
         assert rebuilt_z == f
+
+
+def _random_symmetric_grid(dom, rng, variables, monomials):
+    """A symmetric 3x3 grid of MultiPolys, each entry on up to six of the monomials."""
+    entries = {}
+    for i in range(3):
+        for j in range(i, 3):
+            chosen = rng.sample(monomials, rng.randint(0, 6))
+            terms = {m: random_scalar(dom, rng, 5) for m in chosen}
+            entries[i, j] = entries[j, i] = MultiPoly(dom, variables, terms)
+    return tuple(tuple(entries[i, j] for j in range(3)) for i in range(3))
+
+
+def test_adjugate_contraction_matches_the_full_adjugate(rng):
+    """The six-cofactor kernel against all nine cofactors contracted one by one."""
+    z_quadratics = [(0, 0, 0) + m[3:] for m in _MONOMIALS_22 if m[0] == 2]
+    extra = VARS_BIQUAD + ("s", "t")
+    mixed = [
+        x + z[3:] + st
+        for x in ((0, 0, 0), (1, 0, 0), (0, 0, 1))
+        for z in z_quadratics
+        for st in ((0, 0), (1, 0), (0, 2), (1, 1))
+    ]
+    for dom in (ZZ, QQ, GF(3), GF(5), GF(101)):
+        for variables, monomials in ((VARS_BIQUAD, z_quadratics), (extra, mixed)):
+            for _ in range(8):
+                gram = _random_symmetric_grid(dom, rng, variables, monomials)
+                for block in (X_BLOCK, Z_BLOCK):
+                    expected = contract_with_block(adjugate3(gram), variables, block, dom)
+                    assert _adjugate_contraction(gram, block) == expected
 
 
 def test_gram_symmetry(rng):

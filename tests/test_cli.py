@@ -211,6 +211,42 @@ def test_act_with_a_monomial_gamma_answers_at_degree_40(entries, tmp_path, capsy
     assert json.loads(capsys.readouterr().out) == {"result": str(expected)}
 
 
+@pytest.mark.parametrize("digits, printable", [(100, True), (1000, False)])
+def test_act_with_a_tall_monomial_gamma_finishes_at_degree_40(digits, printable, tmp_path, capsys):
+    # charged by the squared height factor, 10**1000 entries were refused
+    # up front (estimate 149 s) although the substitution takes ~1.3-2 s;
+    # its 40 000-digit coefficients are then too long to print, and are
+    # refused, while 10**100 entries print coefficients of 4001 digits
+    form, _ = _dense_act_files(tmp_path, 40)
+    big = str(10**digits)
+    gamma = tmp_path / "tall.json"
+    gamma.write_text(json.dumps(["0", big, "0", "0", "0", "-" + big, big, "0", "0"]))
+    f = parse_poly(Path(form).read_text())
+    assert cli._act_cost_ms(f, mat3_from_json(gamma.read_text(), ZZ)) <= cli.ACT_MAX_MS
+    start = time.perf_counter()
+    code = cli.main(["act", "--form", form, "--gamma", str(gamma)])
+    assert time.perf_counter() - start < 5
+    out = json.loads(capsys.readouterr().out)
+    if printable:
+        assert code == 0
+        assert out == {"result": str(act_ternary(mat3_from_json(gamma.read_text(), ZZ), f))}
+    else:
+        assert code == 1
+        assert out["error"]["kind"] == "budget"
+        assert "too long to print" in out["error"]["message"]
+
+
+def test_covariants_too_long_to_print_refused(tmp_path, capsys):
+    # 3000-digit coefficients give covariant coefficients of ~6000 digits,
+    # past Python's limit on printing an integer; the CLI used to leak its
+    # ValueError as a traceback
+    tall = "7" * 3000
+    form = tmp_path / "form.txt"
+    form.write_text(f"{tall}*x1^2*z1^2 + {tall}*x2^2*z2^2 + x3^2*z3^2 + x1*x2*z1*z3")
+    assert cli.main(["covariants", "--form", str(form)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "budget"
+
+
 def test_act_twisted_representation(tmp_path):
     gamma = tmp_path / "gamma.json"
     gamma.write_text(json.dumps(["2", "0", "0", "0", "2", "0", "0", "0", "2"]))

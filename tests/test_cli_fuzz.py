@@ -9,8 +9,10 @@ About half the examples are well-formed calls of the commands that compute
 them is fuzzed too, not only the parsing in front of it.  A second fuzz
 draws well-formed calls whose work grows with their inputs' size, act on
 forms up to degree 80 and tuple-equiv with weights up to 10**18, and
-requires each to answer or be refused at once.  The examples are
-derandomized, so every run draws the same ones.
+requires each to answer or be refused at once.  Every run draws the same
+examples: the first fuzz from seed 0, so that an edit of its body leaves
+its stream (and the resultant floor) as it is, and the second
+derandomized.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import count
 from random import Random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from triforms import cli, elimination
@@ -247,7 +249,7 @@ def workdir(tmp_path_factory):
 _RUN = count()
 
 # Examples (of 250) in which a command computes a raw discriminant; about 4
-# did when every example was drawn at random.
+# did when every example was drawn at random, 107 do from seed 0.
 RESULTANT_FLOOR = 100
 
 
@@ -261,8 +263,8 @@ def test_cli_contract_holds_for_any_arguments(workdir, capsys, monkeypatch):
 
     monkeypatch.setattr(elimination, "resultant_of_partials", counting)
 
+    @seed(0)
     @settings(
-        derandomize=True,
         max_examples=250,
         deadline=None,
         database=None,

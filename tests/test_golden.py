@@ -17,15 +17,35 @@ A third sweep pins the cubic layer: both collapsed bracket expansions and
 the invariants (I, J) of seeded dense and sparse cubics over ZZ, QQ and
 GF(p), p in {5, 7, 10007}.  Its hash was taken before the bracket expansion
 was rewritten to fold each finished letter into its coefficient.
+
+A fourth sweep pins the (2,2) layer: for seeded dense and sparse classes
+over ZZ, QQ and GF(p), p in {3, 5, 11, 13, 101}, both Gram matrices, both
+sextic covariants (from the class record and from the raw representative),
+``canonicalize`` and ``act_22`` images, ``verify_well_defined`` verdicts
+and, at p <= 13, the branch-locus report or its refusal.  Its hash was
+taken before the covariants were rewritten to contract the six distinct
+cofactors of the symmetric Gram matrix by monomial shifts.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from random import Random
 
 from triforms import cubic
-from triforms.biquadratic import is_generic_mod_p
+from triforms.biquadratic import (
+    act_22,
+    branch_locus_report,
+    canonicalize,
+    covariant_x_ternary,
+    covariant_z_ternary,
+    gram_matrices,
+    is_generic_mod_p,
+    sextic_covariant_x,
+    sextic_covariant_z,
+    verify_well_defined,
+)
 from triforms.domains import GF, QQ, ZZ
 from triforms.elimination import (
     bad_primes,
@@ -36,12 +56,13 @@ from triforms.elimination import (
 )
 from triforms.errors import TriformsError
 from triforms.poly import MultiPoly, parse_poly
-from triforms.suites import random_form, random_form22
+from triforms.suites import random_bilinear, random_form, random_form22, random_invertible
 
 GOLDEN_PRIMES = (2, 3, 5, 11, 13, 10007, 2**61 - 1)
 GOLDEN_SHA256 = "f1226fca54756da0aed51bf05ca1d8df969e6302c4090cf53e014ac2032f29eb"
 INTEGER_GOLDEN_SHA256 = "c9d2b4c46f62c6062c72584ad8c58c21bd31f309e1e3ff8596023e604a21bb01"
 CUBIC_GOLDEN_SHA256 = "17750cf63ea80ab9adec159cdef216158e53148229e094e96542ec8ca9e8a7b4"
+BIQUAD_GOLDEN_SHA256 = "7ca67ab9d6eaf152a49a54b8fb4a6adbcbfd93dc5e2757fd260ee848d1816353"
 
 
 def _sparse(f: MultiPoly, rng: Random) -> MultiPoly:
@@ -126,3 +147,41 @@ def cubic_golden_lines():
 def test_cubic_outputs_match_their_golden_hash():
     digest = hashlib.sha256("\n".join(cubic_golden_lines()).encode()).hexdigest()
     assert digest == CUBIC_GOLDEN_SHA256
+
+
+def _grams(f) -> str:
+    pair = gram_matrices(f)
+    return " | ".join(
+        "; ".join(", ".join(map(str, row)) for row in gram) for gram in (pair.in_x, pair.in_z)
+    )
+
+
+def _report(cls) -> str:
+    return json.dumps(branch_locus_report(cls).to_json_dict(), sort_keys=True)
+
+
+def biquad_golden_lines():
+    rng = Random(18018)
+    for domain in (ZZ, QQ, GF(3), GF(5), GF(11), GF(13), GF(101)):
+        for _ in range(3):
+            dense = random_form22(domain, rng)
+            for f in (dense, _sparse(dense, rng)):
+                cls = canonicalize(f)
+                yield f"class {domain.name} {f} -> {cls.rep}"
+                yield f"grams {cls.rep} -> {_verdict(_grams, cls)}"
+                yield f"raw grams {f} -> {_verdict(_grams, f)}"
+                for name, call in (("cov_x", covariant_x_ternary), ("cov_z", covariant_z_ternary)):
+                    yield f"{name} {cls.rep} -> {_verdict(call, cls)}"
+                for name, call in (("cov_x", sextic_covariant_x), ("cov_z", sextic_covariant_z)):
+                    yield f"raw {name} {f} -> {_verdict(call, f)}"
+                gamma = random_invertible(domain, rng)
+                yield f"act {gamma.to_json_list()} {cls.rep} -> {_verdict(act_22, gamma, cls)}"
+                L = random_bilinear(domain, rng)
+                yield f"welldef {f} {L} -> {_verdict(verify_well_defined, f, L)}"
+                if domain.name.startswith("GF") and domain.p <= 13:
+                    yield f"branch {cls.rep} -> {_verdict(_report, cls)}"
+
+
+def test_biquadratic_outputs_match_their_golden_hash():
+    digest = hashlib.sha256("\n".join(biquad_golden_lines()).encode()).hexdigest()
+    assert digest == BIQUAD_GOLDEN_SHA256
