@@ -40,14 +40,21 @@ six distinct ones are evaluated) and, through its adjugate, its sextic
 covariant.  Every scan, ``tangency_test``, ``gram_matrices`` and the
 ternary covariant accessors read that record when given a class; a raw
 representative is computed afresh each time.  The branch-locus scan walks
-P^2(F_p) one chart line (x, y, t) at a time: each entry and the sextic
-get their coefficients in t once per line and are evaluated at every t by
-Horner's rule, and the restricted discriminant has a closed form.
+P^2(F_p) one chart line (x, y, t) at a time.  The six distinct entries and
+the sextic get their coefficients in t on every line at once, packed into
+one integer per power of t; on each line those times the packed powers of
+t, summed, hold all seven values at every t in fields of one integer, which
+one ``int.to_bytes`` unpacks into an array (``_values_on_lines``).  The
+restricted discriminant has a closed form.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
+
 from .domains import QQ, ZZ, Domain, PrimeField
 from .errors import (
     DegreeError,
@@ -542,26 +549,84 @@ def _require_odd_prime_class(f) -> tuple[Class22, PrimeField]:
     return cls, dom
 
 
-def _line_values(terms, x: int, y: int, ts, p: int) -> list[int]:
-    """Values mod p of integer ternary terms at the points (x, y, t), t in ts.
+def _field_bytes(p: int, terms: int) -> tuple[int, str | None]:
+    """Bytes a field of a packed value and the array typecode of that size
+    (None when no typecode is that wide), for values of lists of at most
+    ``terms`` terms: such a value, assembled by ``_values_on_lines`` from
+    products of three residues, is below terms * p^3."""
+    need = -(-(max(terms, 1) * (p - 1) ** 3).bit_length() // 8)
+    code = next((c for c in "BHIQ" if array(c).itemsize >= need), None)
+    return (array(code).itemsize if code else need), code
 
-    The terms are first collected into coefficients in t, then every t is
-    evaluated by Horner's rule, one pass over ts per power of t.
+
+@lru_cache(maxsize=64)
+def _packed_monomials(p: int, points: tuple, top: int, slots: int, size: int) -> dict:
+    """x^a y^b mod p at each (x, y) of ``points``, for a + b <= top, packed:
+    the value at point i sits in field i * slots, ``size`` bytes a field."""
+    step = 8 * size * slots
+    return {
+        (a, b): sum(pow(x, a, p) * pow(y, b, p) % p << (i * step) for i, (x, y) in enumerate(points))
+        for a in range(top + 1)
+        for b in range(top + 1 - a)
+    }
+
+
+@lru_cache(maxsize=64)
+def _packed_powers(p: int, ts, top: int, slots: int, size: int) -> tuple:
+    """t^k mod p at each t of ``ts`` (a range or a tuple), k = 0..top,
+    packed as in ``_packed_monomials``."""
+    step = 8 * size * slots
+    return tuple(sum(pow(t, k, p) << (i * step) for i, t in enumerate(ts)) for k in range(top + 1))
+
+
+def _values_on_lines(polys, lines, p: int):
+    """Values of integer ternary term lists at every point of each line.
+
+    Yields (x, y, ts, values) for each line (x, y, ts), the points (x, y, t)
+    with t in ts; item i * len(polys) + j of ``values`` is congruent mod p
+    to the value of polys[j] at the i-th point, and below
+    len(polys[j]) * p^3.  Each list is packed once for all lines: the
+    coefficient of t^k on line l, sum c x^a y^b over its terms (a, b, k),
+    sits in field l * len(polys) + j of a packed integer per k, from the
+    packed monomials of the lines' (x, y).  On a line, its block of those
+    fields times the packed powers t^k puts every list's value at every t
+    in its own field (the fields of t^k are len(polys) apart); the products
+    summed over k are unpacked by one ``int.to_bytes`` into an array.
     """
-    coeffs: dict[int, int] = {}
-    for (e0, e1, e2), c in terms:
-        coeffs[e2] = coeffs.get(e2, 0) + c * x**e0 * y**e1
-    top = max(coeffs, default=0)
-    values = [coeffs.get(top, 0) % p] * len(ts)
-    for k in range(top - 1, -1, -1):
-        c = coeffs.get(k, 0)
-        values = [(v * t + c) % p for v, t in zip(values, ts)]
-    return values
+    slots = len(polys)
+    top = max((sum(e) for terms in polys for e, _ in terms), default=0)
+    size, code = _field_bytes(p, max(len(terms) for terms in polys))
+    monomials = _packed_monomials(p, tuple((x, y) for x, y, _ in lines), top, slots, size)
+    coefficients = [0] * (top + 1)
+    for j, terms in enumerate(polys):
+        own = [0] * (top + 1)
+        for (a, b, k), c in terms:
+            own[k] += c % p * monomials[a, b]
+        for k, packed in enumerate(own):
+            coefficients[k] += packed << (8 * size * j)
+    width = slots * size
+    blocks = [packed.to_bytes(len(lines) * width, "little") for packed in coefficients]
+    for l, (x, y, ts) in enumerate(lines):
+        powers = _packed_powers(p, ts, top, slots, size)
+        total = sum(
+            power * int.from_bytes(block[l * width : (l + 1) * width], "little")
+            for power, block in zip(powers, blocks)
+        )
+        data = total.to_bytes(len(ts) * width, "little")
+        if code is None:
+            values = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+        else:
+            values = array(code, data)
+            if sys.byteorder == "big":
+                values.byteswap()
+        yield x, y, ts, values
 
 
 def _eval_fp(terms, point, p: int) -> int:
     """Value mod p of integer ternary terms at an integer point."""
-    return _line_values(terms, point[0], point[1], (point[2],), p)[0]
+    x, y, t = point
+    ((_, _, _, values),) = _values_on_lines([terms], [(x, y, (t,))], p)
+    return values[0] % p
 
 
 # the six distinct entries of a symmetric 3x3 matrix
@@ -664,14 +729,13 @@ def branch_locus_report(f) -> BranchLocusReport:
     lines = [(1, a, range(p)) for a in range(p)] + [(0, 1, range(p)), (0, 0, (1,))]
     for s in _derived(cls).sides:
         side = s.name
-        entry_terms = [s.terms[i][j] for i, j in _UPPER]
-        sextic_terms = list(s.sextic.terms.items())
-        for x, y, ts in lines:
-            entries = [_line_values(terms, x, y, ts, p) for terms in entry_terms]
-            covs = _line_values(sextic_terms, x, y, ts, p)
-            for t, (m00, m01, m02, m11, m12, m22), cov in zip(ts, zip(*entries), covs):
+        # the six distinct Gram entries and the sextic, the slots of a point
+        polys = [s.terms[i][j] for i, j in _UPPER] + [list(s.sextic.terms.items())]
+        for x, y, ts, values in _values_on_lines(polys, lines, p):
+            for t, m00, m01, m02, m11, m12, m22, cov in zip(ts, *(values[j::7] for j in range(7))):
                 point = (x, y, t)
                 m = ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22))
+                cov %= p
                 disc, degenerate = _restricted_disc(m, point, p)
                 if degenerate:
                     raise DegeneratePointError(

@@ -27,10 +27,11 @@ from .suites import DRAWS_PER_TRIAL, SUITE_NAMES, SuiteConfig, run_suite
 # unit cost on a 2-core x86-64 box running CPython 3.11 (~28 us per
 # branch-check point of P^2(F_p), ~18 us per lattice-enum grid cell) so that
 # an accepted input finishes in about 10 s: p <= 353 for branch-check,
-# box <= 81.  A branch-check point now costs ~2.3 us (0.6 s at p = 353); the
-# bound stays as it was.  generic has no budget: it scans no points, and
-# deciding a class, one packed Macaulay elimination per sextic covariant,
-# took 7-9 ms at p = 41 to 10007, 27 ms at 2^61 - 1 and 34 ms at the largest
+# box <= 81.  A branch-check point now costs ~2.4 us: a whole class took
+# 0.60-0.67 s at p = 353, against 0.81-1.07 s before each line of P^2(F_p)
+# was evaluated as packed integers; the bound stays as it was.  generic has
+# no budget: it scans no points, and deciding a class, one packed Macaulay
+# elimination per sextic covariant, took 7-9 ms at p = 41 to 10007, 27 ms at 2^61 - 1 and 34 ms at the largest
 # prime a field accepts, just below intutil.PRIME_PROOF_LIMIT (3.3 * 10**24);
 # larger --mod values are refused with kind "bad-prime".
 BRANCH_CHECK_MAX_POINTS = 250_000
@@ -77,8 +78,10 @@ DISC_MAX_MS = 10_000
 # factor charged up to 1000x the time.  The dense estimate was 1.6-3x above
 # every time measured, so act, refusing an estimate over ACT_MAX_MS before
 # computing, answers what takes up to a few seconds.  A result whose
-# coefficients pass Python's 4300-digit printing limit is computed and then
-# refused with kind budget (``Domain.fmt``).
+# coefficients pass Python's 4300-digit printing limit is refused with kind
+# budget: before computing, when a monomial integer gamma makes a lower
+# bound on their height pass it (_require_printable_monomial_image), else
+# once computed (``Domain.fmt``).
 ACT_UNIT_NS = 30
 ACT_MONOMIAL_UNIT_NS = 40_000
 ACT_MONOMIAL_BITS = 800
@@ -165,14 +168,45 @@ def _act_cost_ms(f: MultiPoly, gamma: Mat3) -> int:
     bits = _height_bits(f.domain, f.terms.values()) + n * _height_bits(
         gamma.domain, gamma.to_flat()
     )
-    lines = gamma.rows + tuple(zip(*gamma.rows))
-    if all(sum(1 for a in line if a) == 1 for line in lines):
+    if _is_monomial(gamma):
         unit_ns, height, base = ACT_MONOMIAL_UNIT_NS, bits + ACT_MONOMIAL_BITS, ACT_MONOMIAL_BITS
     else:
         unit_ns, height, base = ACT_UNIT_NS * (n + 2) ** 4, (bits + 2000) ** 2, 2000**2
     unit_ns *= 4 if f.domain == QQ else 1
     work_ns = len(f.terms) * unit_ns * height
     return -(-work_ns // (base * 10**6))
+
+
+def _is_monomial(gamma: Mat3) -> bool:
+    """Whether gamma has one nonzero entry in each row and column."""
+    lines = gamma.rows + tuple(zip(*gamma.rows))
+    return all(sum(1 for a in line if a) == 1 for line in lines)
+
+
+def _require_printable_monomial_image(f: MultiPoly, gamma: Mat3) -> None:
+    """Refuse gamma . f before computing it when gamma is a monomial integer
+    matrix and some coefficient of the result is surely too long to print.
+
+    Such a gamma sends variable j to g_j times one variable, g_j the nonzero
+    entry of column j, so it maps distinct terms to distinct terms and
+    nothing cancels: the term c v^e becomes one term with coefficient
+    c * prod g_j^e_j, of at least bitlen(c) + sum e_j (bitlen(g_j) - 1)
+    bits.  A number of B bits is at least 2^(B - 1), which passes 10^L, and
+    so has more than L digits, once B - 1 >= bitlen(10^L).  Results just
+    below that bound are left to ``Domain.fmt``.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or f.domain != ZZ or not _is_monomial(gamma):
+        return
+    drop = [max(abs(a) for a in column).bit_length() - 1 for column in zip(*gamma.rows)]
+    bits = max(
+        (c.bit_length() + sum(e * d for e, d in zip(exps, drop)) for exps, c in f.terms.items()),
+        default=0,
+    )
+    if bits - 1 >= (10**limit).bit_length():
+        raise BudgetExceededError(
+            f"a coefficient is too long to print: act would give one of over {limit} digits"
+        )
 
 
 def _emit(data) -> None:
@@ -233,6 +267,7 @@ def _cmd_act(args) -> int:
     gamma = _read_matrix(args.gamma, f.domain)
     if args.rep == "vn":
         _require_budget("act", _act_cost_ms(f, gamma), ACT_MAX_MS, "ms of estimated work")
+        _require_printable_monomial_image(f, gamma)
         result = act_ternary(gamma, f)
         _emit({"result": str(result)})
     else:

@@ -11,9 +11,11 @@ exponent in m reaches d.  The resultant is the exact quotient
 where M' is the submatrix indexed by the monomials divisible by at least two
 of v_1^d, v_2^d, v_3^d.  The identity det(M) = Res * det(M') holds for all
 coefficient values, so the quotient is valid whenever det(M') != 0.  When
-det(M') vanishes, the forms are transformed by a fixed sequence of unimodular
-changes of variables (det = 1 leaves the resultant unchanged) and the
-computation is retried; after eight failures we give up loudly.
+det(M') vanishes, the computation is retried on the forms with their
+variables permuted (five retries that only relabel exponents; an odd
+permutation multiplies the resultant by (-1)^d), then under a fixed sequence
+of unimodular shears (det = 1 leaves the resultant unchanged).  The rank
+certificate below takes over when all fourteen retries degenerate.
 
 The curve discriminant is the resultant of the three partial derivatives,
 homogeneous of degree 3(n-1)^2 in the coefficients; dividing by the content
@@ -35,10 +37,11 @@ j, so such a row is not touched, and an updated row is divided by p_j
 instead of p_(k-1).  Macaulay rows in field order start late, so most rows
 skip most steps.  Over prime fields each form is packed into one
 Python integer, w bits a field, each row is a shift of it, and M' is M's
-rows masked.  ``_eliminate_mod_p`` reduces them row by row, and scales each
-pivot row with every field reduced at once by division by an invariant
+rows masked.  ``_eliminate_mod_p`` reduces them row by row.  Each pivot row
+has every field reduced mod p once, at once, by division by an invariant
 integer (Granlund-Montgomery), a few big-integer operations per pivot
-whatever the field width.
+whatever the field width, and every other row with lead l takes it times
+the one scalar -l / lead mod p.
 
 Smoothness mod p needs no value, only whether the partials (with the form
 itself when p divides the degree) have a common zero over F_p-bar, and
@@ -56,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import gcd
 
 from .domains import QQ, ZZ, PrimeField
@@ -131,15 +135,16 @@ def det_mod_p(rows: list[list[int]], p: int) -> int:
     n = len(rows)
     w = _field_width(n, p)
     packed = [sum((a % p) << (j * w) for j, a in enumerate(row)) for row in rows]
-    return _eliminate_mod_p(packed, p, w, [1] * n)
+    return _eliminate_mod_p(packed, p, w, (1,) * n)
 
 
 def _field_width(steps: int, p: int) -> int:
     """Bits per field of a packed row that takes up to ``steps`` updates.
 
-    A field starts below p and each update adds less than p*p, so it stays
-    below steps*p*p; one guard bit above that keeps every field below
-    2^(w-1), the range in which ``_scaled`` reduces it.
+    A field starts below p and each update adds a scalar below p times a
+    reduced pivot field, less than p*p, so it stays below steps*p*p; one
+    guard bit above that keeps every field below 2^(w-1), the range in
+    which ``_residues`` reduces it.
     """
     return (max(steps, 1) * p * p).bit_length() + 1
 
@@ -161,29 +166,35 @@ def _reducer(p: int, w: int, slots: int) -> tuple[int, int, int, int]:
     return s, -(-(1 << s) // p), ones * ((1 << w) - 1), ones * ((1 << (2 * w - s)) - 1)
 
 
-def _scaled(row: int, inv: int, p: int, w: int) -> int:
-    """The packed row with each field reduced mod p and multiplied by inv.
+def _residues(row: int, p: int, w: int) -> int:
+    """The packed row with each field reduced mod p, in one pass.
 
-    Every field must be below 2^(w-1), and so must p*p, as a width from
-    ``_field_width`` ensures.  The even and the odd fields, each spread into
-    2w-bit slots, are reduced by x - p*floor(x/p), with the quotient of
-    every slot from one product (see ``_reducer``); then multiplied by inv
-    and reduced again.  The work is a few big-integer operations whatever
-    the width, not one per field.  The masks cover a power of two of
-    slots, so few are cached.
+    Every field must be below 2^(w-1), as a width from ``_field_width``
+    ensures.  The even and the odd fields, each spread into 2w-bit slots,
+    are reduced by x - p*floor(x/p), with the quotient of every slot from
+    one product (see ``_reducer``).  The work is a few big-integer
+    operations whatever the width, not one per field.  The masks cover a
+    power of two of slots, so few are cached.
     """
     slots = -(-row.bit_length() // (2 * w))
     s, m, fields, quotients = _reducer(p, w, 1 << (slots - 1).bit_length() if slots else 1)
-
-    def reduced(x):
-        return x - p * (((x * m) >> s) & quotients)
-
-    even = reduced(reduced(row & fields) * inv)
-    odd = reduced(reduced((row >> w) & fields) * inv)
+    even, odd = row & fields, (row >> w) & fields
+    even -= p * (((even * m) >> s) & quotients)
+    odd -= p * (((odd * m) >> s) & quotients)
     return even | (odd << w)
 
 
-def _eliminate_mod_p(rows: list[int], p: int, w: int, gaps, spare=()) -> int:
+@lru_cache(maxsize=256)
+def _column_map(gaps: tuple[int, ...]) -> dict[int, int]:
+    """The column of each field that starts one, from the gaps between columns."""
+    column, position = {}, 0
+    for k, gap in enumerate(gaps):
+        column[position] = k
+        position += gap
+    return column
+
+
+def _eliminate_mod_p(rows: list[int], p: int, w: int, gaps: tuple[int, ...], spare=()) -> int:
     """Row elimination over F_p on rows packed into integers, w bits a field.
 
     Column k sits ``gaps[0] + ... + gaps[k-1]`` fields up; the fields in
@@ -191,30 +202,28 @@ def _eliminate_mod_p(rows: list[int], p: int, w: int, gaps, spare=()) -> int:
     its low field is that column, at the first column where it may be
     nonzero (its lowest nonzero field at the start, the next column after
     each step), so no step touches a row before its first entry.  At step
-    k the pivot is the first waiting row whose lead is nonzero mod p; it is
-    reduced and scaled to lead 1, and every other waiting row with lead
-    l != 0 becomes (row >> gap) + (p - l) * pivot.  Returns the product of
-    the pivots with the sign of the permutation that orders the pivot rows
-    by column (the determinant, for a square matrix), or 0 when a column
-    has no pivot.
+    k the pivot is the first waiting row whose lead is nonzero mod p; its
+    fields are reduced mod p once, and every other waiting row with lead
+    l != 0 becomes (row >> gap) + (-l / lead mod p) * pivot.  Returns the
+    product of the leads with the sign of the permutation that orders the
+    pivot rows by column (the determinant, for a square matrix), or 0 when
+    a column has no pivot.
 
     ``spare`` rows are used only when no waiting row has a pivot: each is
-    then brought up to date with the pivots of the steps it missed, one at
-    a time until one has a nonzero lead.  Every row takes at most len(gaps)
-    updates, which ``_field_width`` allows for.
+    then brought up to date with the pivots of the steps it missed, kept
+    with -1 / lead mod p, one at a time until one has a nonzero lead.
+    Every row takes at most len(gaps) updates, which ``_field_width``
+    allows for.
     """
     mask = (1 << w) - 1
-    column, position = {}, 0
-    for k, gap in enumerate(gaps):
-        column[position] = k
-        position += gap
+    column = _column_map(gaps)
     waiting = [[] for _ in range(len(gaps) + 1)]  # (row, index) pairs per column
     for i, r in enumerate(rows):
         if r:
             low = ((r & -r).bit_length() - 1) // w
             waiting[column[low]].append((r >> (low * w), i))
     spare = [[r, 0] for r in spare]  # each with the step it is current at
-    history = []  # (shift, scaled pivot) of each step, while spare rows wait
+    history = []  # (shift, reduced pivot, -1 / lead) of each step, while spare rows wait
     order = []  # the index of each step's pivot row
     det = 1
     for k, gap in enumerate(gaps):
@@ -228,9 +237,9 @@ def _eliminate_mod_p(rows: list[int], p: int, w: int, gaps, spare=()) -> int:
         else:
             for entry in spare:
                 r = entry[0]
-                for step_shift, step_pivot in history[entry[1] : k]:
+                for step_shift, step_pivot, step_scale in history[entry[1] : k]:
                     lead = (r & mask) % p
-                    r = (r >> step_shift) + (p - lead) * step_pivot if lead else r >> step_shift
+                    r = (r >> step_shift) + lead * step_scale % p * step_pivot if lead else r >> step_shift
                 entry[:] = r, k
                 lead = (r & mask) % p
                 if lead:
@@ -241,13 +250,14 @@ def _eliminate_mod_p(rows: list[int], p: int, w: int, gaps, spare=()) -> int:
                 return 0
         order.append(i)
         det = det * lead % p
-        pivot = _scaled(r >> shift, pow(lead, p - 2, p), p, w)
+        scale = p - pow(lead, p - 2, p)
+        pivot = _residues(r >> shift, p, w)
         for r, i in here[j + 1 :]:
             lead = (r & mask) % p
-            later.append(((r >> shift) + (p - lead) * pivot if lead else r >> shift, i))
+            later.append(((r >> shift) + lead * scale % p * pivot if lead else r >> shift, i))
         here.clear()
         if spare:
-            history.append((shift, pivot))
+            history.append((shift, pivot, scale))
     return det * _permutation_sign(order) % p
 
 
@@ -439,12 +449,30 @@ def _quotient(layout: _Layout, forms, p: int | None) -> int | None:
     return quotient
 
 
+def _permuted(g: MultiPoly, perm) -> MultiPoly:
+    """g with its variables permuted: exponent triple e becomes (e[perm[0]], ...)."""
+    terms = {tuple(e[v] for v in perm): c for e, c in g.terms.items()}
+    return MultiPoly._trusted(g.domain, g.vars, terms)
+
+
 def _sheared(forms):
-    """The forms themselves, then their images under each fixed unimodular change."""
-    yield forms
+    """(sign, forms) of each retry: the forms themselves, their images under
+    the five other permutations of the variables, then under each fixed
+    unimodular change.
+
+    A change of variables A multiplies the resultant of three d-ics by
+    det(A)^(d^3).  A permutation only relabels exponents, with no
+    substitution and no growth of the coefficients; an odd one has
+    det = -1, so its sign is (-1)^d.  A shear has det = 1.  The resultant
+    is the sign times the retry's Macaulay quotient.
+    """
+    d = forms[0].homogeneous_degree()
+    yield 1, forms
+    for perm in list(permutations(range(3)))[1:]:
+        yield _permutation_sign(perm) ** d, tuple(_permuted(g, perm) for g in forms)
     for attempt in range(len(_SHEAR_TABLE)):
         change = _unimodular(attempt)
-        yield tuple(g.substitute_linear(change) for g in forms)
+        yield 1, tuple(g.substitute_linear(change) for g in forms)
 
 
 def _resultant_exact(forms, p: int | None):
@@ -458,10 +486,10 @@ def _resultant_exact(forms, p: int | None):
     """
     d = forms[0].homogeneous_degree()
     layout = _layout((d,) * 3)
-    for moved in _sheared(forms):
+    for sign, moved in _sheared(forms):
         quotient = _quotient(layout, moved, p)
         if quotient is not None:
-            return quotient
+            return sign * quotient if p is None else sign * quotient % p
     if not _no_common_zero([(d, g.terms.items()) for g in forms], p):
         return 0
     if p is not None:

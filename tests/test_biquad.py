@@ -507,18 +507,31 @@ def test_branch_locus_report_matches_per_point_reference(p):
     assert outcomes == {"degenerate", "report"}
 
 
-@pytest.mark.parametrize("p", [3, 7, 13])
+@pytest.mark.parametrize("p", [3, 7, 13, 1031, 2**61 - 1])
 def test_line_values_match_pointwise_evaluation(p):
-    # integer coefficients beyond [0, p), and term sets free of t, included
-    rng = Random(7200 + p)
+    # integer coefficients beyond [0, p), and term sets free of t, included;
+    # each list alone and all six in the slots of one packed value.  Fields
+    # are over 32 bits at p = 1031, and wider than any array typecode at
+    # 2^61 - 1, where t runs over a sample of F_p
+    rng = Random(7200 + p % 100_003)
+    ts = range(p) if p < 2000 else tuple(rng.randrange(p) for _ in range(40))
+    polys = []
     for degree in (0, 2, 6):
         monos = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
         for no_t in (False, True):
-            terms = [(e, rng.randint(-3 * p, 3 * p)) for e in monos
-                     if rng.random() < 0.6 and not (no_t and e[2])]
-            for x, y in ((1, rng.randrange(p)), (0, 1), (0, 0), (2, 3)):
-                expected = [_reference_eval_fp(terms, (x, y, t), p) for t in range(p)]
-                assert biquadratic._line_values(terms, x, y, range(p), p) == expected
+            polys.append([(e, rng.randint(-3 * p, 3 * p)) for e in monos
+                          if rng.random() < 0.6 and not (no_t and e[2])])
+    lines = [(x, y, ts) for x, y in ((1, rng.randrange(p)), (0, 1), (0, 0), (2, 3))]
+    size, code = biquadratic._field_bytes(p, max(len(terms) for terms in polys))
+    assert (size > 4, code is None) == (p > 13, p > 2000)
+    for group in [[terms] for terms in polys] + [polys]:
+        for x, y, line_ts, values in biquadratic._values_on_lines(group, lines, p):
+            assert line_ts is ts and len(values) == len(ts) * len(group)
+            for j, terms in enumerate(group):
+                got = values[j :: len(group)]
+                expected = [_reference_eval_fp(terms, (x, y, t), p) for t in ts]
+                assert [v % p for v in got] == expected
+                assert all(v < max(len(terms), 1) * p**3 for v in got)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])

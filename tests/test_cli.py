@@ -215,8 +215,8 @@ def test_act_with_a_monomial_gamma_answers_at_degree_40(entries, tmp_path, capsy
 def test_act_with_a_tall_monomial_gamma_finishes_at_degree_40(digits, printable, tmp_path, capsys):
     # charged by the squared height factor, 10**1000 entries were refused
     # up front (estimate 149 s) although the substitution takes ~1.3-2 s;
-    # its 40 000-digit coefficients are then too long to print, and are
-    # refused, while 10**100 entries print coefficients of 4001 digits
+    # its 40 000-digit coefficients are too long to print, and are refused,
+    # while 10**100 entries print coefficients of 4001 digits
     form, _ = _dense_act_files(tmp_path, 40)
     big = str(10**digits)
     gamma = tmp_path / "tall.json"
@@ -234,6 +234,29 @@ def test_act_with_a_tall_monomial_gamma_finishes_at_degree_40(digits, printable,
         assert code == 1
         assert out["error"]["kind"] == "budget"
         assert "too long to print" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("domain_flag", [[], ["--mod", "101"]], ids=["ZZ", "GF101"])
+def test_act_refuses_an_unprintable_monomial_image_before_computing(
+    domain_flag, tmp_path, capsys, monkeypatch
+):
+    # a monomial gamma cancels nothing, so 10**1000 entries on a degree-40
+    # form surely give a coefficient of over 4300 digits; over ZZ that is
+    # refused without substituting, while over GF(101) nothing grows
+    form, _ = _dense_act_files(tmp_path, 40)
+    big = str(10**1000)
+    gamma = tmp_path / "tall.json"
+    gamma.write_text(json.dumps(["0", big, "0", "0", "0", "-" + big, big, "0", "0"]))
+    computed = []
+    monkeypatch.setattr(cli, "act_ternary", lambda g, f: computed.append(f) or f)
+    code = cli.main(["act", "--form", form, "--gamma", str(gamma), *domain_flag])
+    out = json.loads(capsys.readouterr().out)
+    if domain_flag:
+        assert (code, len(computed)) == (0, 1)
+    else:
+        assert (code, computed) == (1, [])
+        assert out["error"]["kind"] == "budget"
+        assert out["error"]["message"].startswith("a coefficient is too long to print")
 
 
 def test_covariants_too_long_to_print_refused(tmp_path, capsys):
