@@ -3,10 +3,12 @@
 The space of bihomogeneous (2,2) forms in (x1, x2, x3, z1, z2, z3) is
 36-dimensional; the 9-dimensional subspace of multiples of the incidence
 form sigma = x1 z1 + x2 z2 + x3 z3 by (1,1) forms is quotiented out.  A
-class is stored as the unique reduction of its coset against a fixed
-echelonized basis of {sigma * xi zj} (Hermite normal form over the
-integers), under graded-lex monomial order; two inputs are congruent
-exactly when they canonicalize identically.
+class is stored as the remainder of its representative on division by
+sigma at the term x1 z1, which has coefficient 1: so {sigma} is a Groebner
+basis over every ring, and the remainder, the part of the coset with no
+term divisible by x1 z1, is the same over ZZ, QQ and GF(p) (Cox, Little
+and O'Shea, "Ideals, Varieties, and Algorithms", ch. 2).  Two inputs are
+congruent exactly when they canonicalize identically.
 
 A representative f is a quadratic form in either block: f = (x) G (x)^t
 with G symmetric and quadratic in z, and symmetrically for the z-block
@@ -76,6 +78,7 @@ from .poly import (
     MAX_EXPONENT,
     VARS_BIQUAD,
     MultiPoly,
+    _add_into,
     _max_exponent,
     _monomial_key,
     _mul_into,
@@ -105,149 +108,46 @@ def _check_22(f: MultiPoly):
         raise DegreeError("expected a bihomogeneous (2,2) form")
 
 
-# 36 monomials of bidegree (2,2), graded-lex order, with index maps.
-_MONOMIALS_22: list[tuple[int, ...]] = []
+# The 36 monomials of bidegree (2,2), in graded-lex order.
+_MONOMIALS_22: list[tuple[int, ...]] = sorted(
+    (
+        (a1, a2, 2 - a1 - a2, b1, b2, 2 - b1 - b2)
+        for a1 in range(3)
+        for a2 in range(3 - a1)
+        for b1 in range(3)
+        for b2 in range(3 - b1)
+    ),
+    key=_monomial_key,
+)
 
 
-def _build_monomials_22():
-    out = []
-    for a1 in range(3):
-        for a2 in range(3 - a1):
-            a3 = 2 - a1 - a2
-            for b1 in range(3):
-                for b2 in range(3 - b1):
-                    b3 = 2 - b1 - b2
-                    out.append((a1, a2, a3, b1, b2, b3))
-    out.sort(key=_monomial_key)
-    return out
+def _divide_by_sigma(f: MultiPoly) -> tuple[dict, dict]:
+    """The term maps (remainder, quotient) of f divided by sigma at x1 z1.
 
-
-_MONOMIALS_22 = _build_monomials_22()
-_MONO_INDEX_22 = {m: i for i, m in enumerate(_MONOMIALS_22)}
-
-# (i, j) order of the multiplier monomials xi zj for the ideal basis rows
-_MULTIPLIERS_11 = [(i, j) for i in range(3) for j in range(3)]
-
-
-def _ideal_rows(domain: Domain):
-    """Coefficient rows of sigma * xi zj in the 36-monomial basis."""
-    rows = []
-    sigma = incidence_form(domain)
-    for i, j in _MULTIPLIERS_11:
-        exps = [0] * 6
-        exps[i] += 1
-        exps[3 + j] += 1
-        mono = MultiPoly(domain, VARS_BIQUAD, {tuple(exps): domain.one()})
-        prod = sigma * mono
-        row = [domain.zero()] * 36
-        for e, c in prod.terms.items():
-            row[_MONO_INDEX_22[e]] = c
-        rows.append(row)
-    return rows
-
-
-_REDUCTION_CACHE: dict = {}
-
-
-def _reduction_data(domain: Domain):
-    """Echelon (fields) or Hermite (ZZ) basis with multiplier tracking.
-
-    Returns a list of (pivot_column, row36, multiplier9) triples: row36 is a
-    reduced ideal-basis vector and multiplier9 expresses it as a combination
-    of the original sigma * xi zj generators.
+    A term x1^a z1^b m with a, b >= 1 puts q = x1^(a-1) z1^(b-1) m into the
+    quotient and leaves -(x2 z2 + x3 z3) q to divide in turn; every other
+    term goes to the remainder.  A (2,2) term is divided at most twice.
     """
-    key = domain
-    if key in _REDUCTION_CACHE:
-        return _REDUCTION_CACHE[key]
-    rows = _ideal_rows(domain)
-    aug = [row + [domain.one() if k == r else domain.zero() for k in range(9)]
-           for r, row in enumerate(rows)]
-    pivots = []
-    if domain.is_field:
-        r = 0
-        for col in range(36):
-            piv = next((i for i in range(r, len(aug)) if not domain.is_zero(aug[i][col])), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = domain.inv(aug[r][col])
-            aug[r] = [domain.mul(inv, v) for v in aug[r]]
-            for i in range(len(aug)):
-                if i != r and not domain.is_zero(aug[i][col]):
-                    c = aug[i][col]
-                    aug[i] = [domain.sub(a, domain.mul(c, b)) for a, b in zip(aug[i], aug[r])]
-            pivots.append((col, r))
-            r += 1
-            if r == len(aug):
-                break
-    elif domain == ZZ:
-        r = 0
-        for col in range(36):
-            while True:
-                live = [i for i in range(r, len(aug)) if aug[i][col] != 0]
-                if not live:
-                    break
-                if len(live) == 1:
-                    i = live[0]
-                    aug[r], aug[i] = aug[i], aug[r]
-                    break
-                live.sort(key=lambda i: abs(aug[i][col]))
-                i0 = live[0]
-                for i in live[1:]:
-                    q = aug[i][col] // aug[i0][col]
-                    aug[i] = [a - q * b for a, b in zip(aug[i], aug[i0])]
-            if aug[r][col] != 0:
-                if aug[r][col] < 0:
-                    aug[r] = [-v for v in aug[r]]
-                h = aug[r][col]
-                for i in range(r):
-                    q = aug[i][col] // h
-                    if q:
-                        aug[i] = [a - q * b for a, b in zip(aug[i], aug[r])]
-                pivots.append((col, r))
-                r += 1
-                if r == len(aug):
-                    break
-    else:
-        raise DomainMismatchError(f"no canonical reduction over {domain.name}")
-    data = [(col, aug[r][:36], aug[r][36:]) for col, r in pivots]
-    _REDUCTION_CACHE[key] = data
-    return data
-
-
-def _vector_of(f: MultiPoly):
-    row = [f.domain.zero()] * 36
-    for e, c in f.terms.items():
-        row[_MONO_INDEX_22[e]] = c
-    return row
-
-
-def _poly_of(vector, domain):
-    terms = {}
-    for idx, c in enumerate(vector):
-        if not domain.is_zero(c):
-            terms[_MONOMIALS_22[idx]] = c
-    return MultiPoly(domain, VARS_BIQUAD, terms)
-
-
-def _reduce_vector(vector, domain):
-    """Reduce against the ideal basis; returns (reduced, multiplier coeffs)."""
-    data = _reduction_data(domain)
-    v = list(vector)
-    mult = [domain.zero()] * 9
-    for col, row, tracker in data:
-        c = v[col]
-        if domain.is_field:
-            if domain.is_zero(c):
-                continue
-            q = c  # pivot normalized to 1
-        else:
-            q = c // row[col]
-            if q == 0:
-                continue
-        v = [domain.sub(a, domain.mul(q, b)) for a, b in zip(v, row)]
-        mult = [domain.add(m, domain.mul(q, t)) for m, t in zip(mult, tracker)]
-    return v, mult
+    dom = f.domain
+    remainder: dict = {}
+    quotient: dict = {}
+    work = f.terms
+    while work:
+        kept, shifted = {}, {}
+        for e, c in work.items():
+            x1, x2, x3, z1, z2, z3 = e
+            if x1 and z1:
+                shifted[(x1 - 1, x2, x3, z1 - 1, z2, z3)] = c
+            else:
+                kept[e] = c
+        _add_into(remainder, kept, dom)
+        _add_into(quotient, shifted, dom)
+        work = {}
+        for (x1, x2, x3, z1, z2, z3), c in shifted.items():
+            c = dom.neg(c)
+            _add_into(work, {(x1, x2 + 1, x3, z1, z2 + 1, z3): c}, dom)
+            _add_into(work, {(x1, x2, x3 + 1, z1, z2, z3 + 1): c}, dom)
+    return remainder, quotient
 
 
 class Class22:
@@ -298,25 +198,17 @@ class Class22:
 def canonicalize(f: MultiPoly) -> Class22:
     """The canonical coset representative of f modulo the incidence ideal."""
     _check_22(f)
-    reduced, _ = _reduce_vector(_vector_of(f), f.domain)
-    return Class22(_poly_of(reduced, f.domain))
+    remainder, _ = _divide_by_sigma(f)
+    return Class22(MultiPoly._trusted(f.domain, VARS_BIQUAD, remainder))
 
 
 def ideal_multiplier(f: MultiPoly) -> MultiPoly | None:
     """The (1,1) form L with f = L * sigma, or None when f is not in the ideal."""
     _check_22(f)
-    dom = f.domain
-    reduced, mult = _reduce_vector(_vector_of(f), dom)
-    if any(not dom.is_zero(c) for c in reduced):
+    remainder, quotient = _divide_by_sigma(f)
+    if remainder:
         return None
-    terms = {}
-    for (i, j), c in zip(_MULTIPLIERS_11, mult):
-        if not dom.is_zero(c):
-            exps = [0] * 6
-            exps[i] += 1
-            exps[3 + j] += 1
-            terms[tuple(exps)] = c
-    return MultiPoly(dom, VARS_BIQUAD, terms)
+    return MultiPoly._trusted(f.domain, VARS_BIQUAD, quotient)
 
 
 def is_ideal_member(f: MultiPoly) -> bool:

@@ -106,18 +106,6 @@ class _PrimeTable:
 _PRIMES = _PrimeTable()
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """The primes p <= bound, ascending, as a new list.
-
-    They come from one table per process, which is sieved further only when
-    ``bound`` exceeds what it already covers.
-    """
-    if bound < 2:
-        return []
-    _PRIMES.extend(bound)
-    return _PRIMES.primes[: bisect_right(_PRIMES.primes, bound)]
-
-
 def integer_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if k < 1:

@@ -95,13 +95,34 @@ def test_wrong_bidegree_rejected():
         canonicalize(parse_poly("x1^2*z1", variables=VARS_BIQUAD, domain=ZZ))
 
 
-def test_hermite_vs_echelon_reductions_are_congruent(rng):
-    # over ZZ and over QQ the canonical representatives may differ, but
-    # only by an ideal element
-    f = random_form22(ZZ, rng)
-    r_int = canonicalize(f).rep
-    r_rat = canonicalize(f.to_rationals()).rep
-    assert is_ideal_member(r_int.to_rationals() - r_rat)
+def _sparse_form22(dom, rng, density):
+    terms = {m: random_scalar(dom, rng) for m in _MONOMIALS_22 if rng.random() < density}
+    return MultiPoly(dom, VARS_BIQUAD, terms)
+
+
+def test_canonicalization_commutes_with_domain_moves(rng):
+    for k in range(60):
+        f = random_form22(ZZ, rng) if k % 2 else _sparse_form22(ZZ, rng, 0.2)
+        rep = canonicalize(f).rep
+        assert rep.to_rationals() == canonicalize(f.to_rationals()).rep
+        for p in (2, 3, 5, 101):
+            assert rep.reduce_mod_p(p) == canonicalize(f.reduce_mod_p(p)).rep
+
+
+def test_canonical_representative_is_the_remainder_of_division_by_sigma(rng):
+    for dom in (ZZ, QQ, GF(2), GF(3), GF(101)):
+        sigma = incidence_form(dom)
+        forms = [sigma_squared(dom), sigma_squared(dom).scale(3)]
+        for _ in range(20):
+            forms.append(random_form22(dom, rng))
+            forms.append(_sparse_form22(dom, rng, 0.15))
+            forms.append(random_bilinear(dom, rng) * sigma)
+            forms.append(sigma_squared(dom) + _sparse_form22(dom, rng, 0.1))
+        for f in forms:
+            rep = canonicalize(f).rep
+            assert not any(e[0] and e[3] for e in rep.terms)
+            assert f - rep == ideal_multiplier(f - rep) * sigma
+            assert (ideal_multiplier(f) is None) == (not rep.is_zero())
 
 
 # -- the twisted action ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact integer roots, the prime table and trial factoring."""
 
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt, prod
 from random import Random
@@ -9,11 +10,11 @@ import pytest
 
 from triforms.intutil import (
     PRIME_PROOF_LIMIT,
+    _PRIMES,
     _PrimeTable,
     exact_nth_root,
     integer_nth_root,
     is_prime,
-    primes_up_to,
     rational_nth_roots,
     trial_factor,
 )
@@ -32,7 +33,7 @@ def test_is_prime_is_a_proof_below_its_limit():
     # base 41 exposes it
     assert not is_prime(399165290221 * 798330580441)
     assert is_prime(PRIME_PROOF_LIMIT - 1)  # the largest prime a field accepts
-    assert [n for n in range(200) if is_prime(n)] == primes_up_to(200)
+    assert [n for n in range(200) if is_prime(n)] == _plain_sieve(200)
 
 
 def test_roots_beyond_float_range_are_exact_and_fast():
@@ -117,11 +118,11 @@ def test_prime_table_grows_by_segments():
 
 
 def test_primes_up_to_is_the_plain_sieve():
+    # the shared table only grows; its primes up to any bound are the sieve's
     for bound in (-5, 0, 1, 2, 3, 4, 10, 97, 20000, 1000, 2, 12345):
-        primes = primes_up_to(bound)
+        _PRIMES.extend(bound)
+        primes = _PRIMES.primes[: bisect_right(_PRIMES.primes, bound)]
         assert primes == _plain_sieve(max(bound, 0))
-        primes.append(-1)  # a new list: the table is not touched
-        assert primes_up_to(bound) == _plain_sieve(max(bound, 0))
 
 
 def _prime_near(n, step):
