@@ -188,11 +188,13 @@ class Class22:
     def __repr__(self):
         return f"Class22({self.rep!r})"
 
+    # Reducing or lifting coefficients creates no term divisible by x1 z1,
+    # so the moved representative is already canonical.
     def reduce_mod_p(self, p: int) -> "Class22":
-        return canonicalize(self.rep.reduce_mod_p(p))
+        return Class22(self.rep.reduce_mod_p(p))
 
     def to_rationals(self) -> "Class22":
-        return canonicalize(self.rep.to_rationals())
+        return Class22(self.rep.to_rationals())
 
 
 def canonicalize(f: MultiPoly) -> Class22:

@@ -231,11 +231,8 @@ def _cmd_disc(args) -> int:
     f = _read_form(args.form, args.mod)
     _require_disc_budget("disc", f)
     if args.mod is not None or args.raw:
-        raw = elimination.resultant_of_partials(f)
-        report = {
-            "raw": str(raw),
-            "degree_check": 3 * (f.homogeneous_degree() - 1) ** 2,
-        }
+        disc = elimination.discriminant(f, normalize=False)
+        report = {"raw": str(disc.raw), "degree_check": disc.degree_check}
         if args.mod is not None:
             report["mod"] = args.mod
         _emit(report)

@@ -25,8 +25,6 @@ class Domain:
     """Base class; subclasses implement exact arithmetic on raw values."""
 
     name = "abstract"
-    is_field = False
-    characteristic = 0
 
     def canon(self, value):
         raise NotImplementedError
@@ -154,7 +152,6 @@ class IntegerDomain(Domain):
 
 class RationalDomain(Domain):
     name = "QQ"
-    is_field = True
 
     def canon(self, value):
         if isinstance(value, bool):
@@ -213,8 +210,6 @@ class RationalDomain(Domain):
 class PrimeField(Domain):
     """F_p with values stored as canonical residues in [0, p)."""
 
-    is_field = True
-
     def __init__(self, p: int):
         if p >= PRIME_PROOF_LIMIT:
             raise PrimeError(f"{p} is not below the primality-proof limit {PRIME_PROOF_LIMIT}")
@@ -222,7 +217,6 @@ class PrimeField(Domain):
             raise PrimeError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
-        self.characteristic = p
 
     def canon(self, value):
         if isinstance(value, bool) or not isinstance(value, int):

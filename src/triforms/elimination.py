@@ -50,8 +50,8 @@ span every form of degree d1 + d2 + d3 - 2 (Macaulay).  The same layout and
 elimination decide it; it has no degenerate case, so no shear retry,
 content witness or point scan is involved.  It also settles the resultant
 when every retry degenerates, forms with a common zero having resultant 0:
-over GF(p) by the rank mod p, over ZZ and QQ by the exact rank of the same
-Macaulay rows, from fraction-free elimination.
+over GF(p) by the rank mod p, over ZZ and QQ by whether ``det_bareiss``
+finds a pivot in every column of the same Macaulay rows.
 """
 
 from __future__ import annotations
@@ -78,52 +78,50 @@ from .poly import MultiPoly
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destroys its input).
+    """Fraction-free elimination of an integer matrix (destroys its input).
 
-    Bareiss's elimination (Math. Comp. 1968) with the row's own divisor.
-    ``pivots[0]`` is 1 and ``pivots[k + 1]`` the pivot of step k;
-    ``since[i]`` is 0 or the step after the last one that updated row i,
-    and moves with the row when it is swapped.  Bareiss's step k would
-    multiply a row with a zero lead by pivots[k + 1] / pivots[k]; these
-    factors telescope, so the true row before step k is the stored row
-    times pivots[k] / pivots[since[i]], and such a row is not touched.  A
-    row with lead l becomes (pivot * a - l * b) / pivots[since[i]], with b
-    the pivot row brought up to date: the true update divided by
-    pivots[k], the same factor on both sides cancelled.  The pivot row is
-    brought up to date once, at its step, and the last entry once, before
-    it is returned.  Every division is exact, each quotient being a minor
-    of the input.
+    Given at least as many rows as columns: the determinant when square,
+    and always nonzero exactly when the columns are independent, 0 as soon
+    as a column has no pivot (so 0 for fewer rows than columns).
+
+    Bareiss (Math. Comp. 1968) with the row's own divisor.  ``pivots[0]``
+    is 1 and ``pivots[k + 1]`` the pivot of step k, from the first row at
+    or below k nonzero in column k; ``since[i]`` is 0 or the step after the
+    last one that updated row i, and moves with the row.  Bareiss's step k
+    would multiply a row with a zero lead by pivots[k + 1] / pivots[k];
+    these factors telescope, so the true row before step k is the stored
+    row times pivots[k] / pivots[since[i]], with the same zeros, and such a
+    row is not touched.  A row with lead l becomes (pivot * a - l * b) /
+    pivots[since[i]], with b the pivot row brought up to date at its step:
+    the true update divided by pivots[k].  Every division is exact, each
+    quotient a minor of the input.  Returns the swaps' sign times the last
+    pivot.
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    pivots = [1]
-    since = [0] * n
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    since[k], since[r] = since[r], since[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    m, n = len(rows), len(rows[0]) if rows else 0
+    sign, pivots, since = 1, [1], [0] * m
+    for k in range(n):
+        for r in range(k, m):
+            if rows[r][k]:
+                break
+        else:
+            return 0
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            since[k], since[r] = since[r], since[k]
+            sign = -sign
         pivot, tail = rows[k][k], rows[k][k + 1 :]
         if since[k] != k:
             prev, own = pivots[k], pivots[since[k]]
             pivot, tail = pivot * prev // own, [a * prev // own for a in tail]
         pivots.append(pivot)
-        for i in range(k + 1, n):
+        for i in range(k + 1, m):
             row = rows[i]
             lead = row[k]
             if lead:
                 own = pivots[since[i]]
                 row[k + 1 :] = [(pivot * a - lead * b) // own for a, b in zip(row[k + 1 :], tail)]
                 since[i] = k + 1
-    last = rows[n - 1][n - 1] * pivots[n - 1] // pivots[since[n - 1]]
-    return sign * last
+    return sign * pivots[-1]
 
 
 def det_mod_p(rows: list[list[int]], p: int) -> int:
@@ -652,7 +650,8 @@ def _no_common_zero(forms, p: int | None) -> bool:
     F_p-bar, and rank over QQ rank over Q-bar, so the test is the full
     column rank of that Macaulay matrix, in the ``_layout`` of the degrees.
 
-    Over ZZ the rank is exact, from ``_rank_bareiss`` on every multiple of
+    Both rings ask the same question of their kernel: whether every column
+    has a pivot.  Over ZZ ``det_bareiss`` eliminates every multiple of
     every form.  Over F_p the rows are shifts of the packed forms; the rows
     of the classical square matrix are eliminated first, and the other
     multiples are spare rows, brought in only when a column has no pivot
@@ -662,47 +661,11 @@ def _no_common_zero(forms, p: int | None) -> bool:
     terms = [t for _, t in forms]
     if p is None:
         rows = _integer_rows(layout, terms, layout.rows + layout.spare, layout.columns)
-        return _rank_bareiss(rows) == len(layout.columns)
+        return det_bareiss(rows) != 0
     w = _field_width(len(layout.gaps), p)
     packed = _pack(layout, terms, w)
     rows, spare = _shifted(packed, layout.rows, w), _shifted(packed, layout.spare, w)
     return _eliminate_mod_p(rows, p, w, layout.gaps, spare) != 0
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination (destroys its input).
-
-    Bareiss's update, with a column passed over when no remaining row is
-    nonzero there, and each row's own divisor as in ``det_bareiss``: a row
-    with a zero lead is not touched, one with lead l becomes
-    (pivot * a - l * b) / pivots[since[i]], with the pivot row brought up to
-    date, and the steps are counted by rank, not column.  Every entry of an
-    updated row is a minor of the input (Sylvester's identity on the pivot
-    columns so far), so each division is exact; a stored row is its true
-    Bareiss row times a nonzero ratio of pivots, so it has the same zeros.
-    """
-    pivots, since = [1], [0] * len(rows)
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        since[rank], since[piv] = since[piv], since[rank]
-        pivot, tail = rows[rank][col], rows[rank][col + 1 :]
-        if since[rank] != rank:
-            prev, own = pivots[rank], pivots[since[rank]]
-            pivot, tail = pivot * prev // own, [a * prev // own for a in tail]
-        pivots.append(pivot)
-        for i in range(rank + 1, len(rows)):
-            row = rows[i]
-            lead = row[col]
-            if lead:
-                own = pivots[since[i]]
-                row[col + 1 :] = [(pivot * a - lead * b) // own for a, b in zip(row[col + 1 :], tail)]
-                since[i] = rank + 1
-        rank += 1
-    return rank
 
 
 def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:

@@ -103,10 +103,10 @@ def _sparse_form22(dom, rng, density):
 def test_canonicalization_commutes_with_domain_moves(rng):
     for k in range(60):
         f = random_form22(ZZ, rng) if k % 2 else _sparse_form22(ZZ, rng, 0.2)
-        rep = canonicalize(f).rep
-        assert rep.to_rationals() == canonicalize(f.to_rationals()).rep
+        cls = canonicalize(f)
+        assert cls.to_rationals() == canonicalize(f.to_rationals())
         for p in (2, 3, 5, 101):
-            assert rep.reduce_mod_p(p) == canonicalize(f.reduce_mod_p(p)).rep
+            assert cls.reduce_mod_p(p) == canonicalize(f.reduce_mod_p(p))
 
 
 def test_canonical_representative_is_the_remainder_of_division_by_sigma(rng):

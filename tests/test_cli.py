@@ -598,6 +598,20 @@ def test_math_error_carries_kind(tmp_path):
     assert data["error"]["kind"] == "degree"
 
 
+@pytest.mark.parametrize("text", ["7", "x + 2*y - z", "x^2 + y"])
+@pytest.mark.parametrize("mode", [["--raw"], ["--mod", "5"]])
+def test_disc_raw_and_mod_refuse_what_plain_disc_refuses(text, mode, tmp_path, capsys):
+    # constant and linear forms have no discriminant, and a non-homogeneous
+    # polynomial no degree, in every mode of disc
+    form = tmp_path / "form.txt"
+    form.write_text(text)
+    assert cli.main(["disc", "--form", str(form)]) == 1
+    plain = json.loads(capsys.readouterr().out)
+    assert plain["error"]["kind"] == "degree"
+    assert cli.main(["disc", "--form", str(form), *mode]) == 1
+    assert json.loads(capsys.readouterr().out) == plain
+
+
 def _write_json_form(path, variables, exponents, p):
     terms = [{"e": e, "c": "1"} for e in exponents]
     path.write_text(json.dumps({"vars": variables, "terms": terms, "p": p}))

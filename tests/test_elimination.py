@@ -23,7 +23,6 @@ from triforms.elimination import (
     _no_common_zero,
     _pack,
     _quotient,
-    _rank_bareiss,
     _residues,
     _shifted,
     _sheared,
@@ -79,6 +78,13 @@ def _rational_echelon(rows):
     return rank, det if rank == len(rows) else 0
 
 
+def _assert_full_rank_test(rows, name=None):
+    """``det_bareiss`` is nonzero exactly when the columns are independent."""
+    columns = len(rows[0]) if rows else 0
+    full = _rational_echelon(rows)[0] == columns
+    assert (det_bareiss([row[:] for row in rows]) != 0) == full, name
+
+
 def _lazy_divisor_cases(n, rng):
     """Square integer matrices of size n that take every path of a Bareiss
     elimination whose rows keep their own divisor, by name:
@@ -92,7 +98,8 @@ def _lazy_divisor_cases(n, rng):
       column late; at its step it has been updated once, has a zero lead and
       is swapped for a row that was never updated;
     - ``lagged-last``: dense, but the last row zero except its last entry,
-      so it is never updated and only the final rescale brings it up;
+      so it is never updated and is brought up to date only as the last
+      pivot;
     - ``zero-column``: a column that is a combination of earlier ones, so
       it has no pivot once they are eliminated (determinant 0).
     """
@@ -144,15 +151,14 @@ def test_bareiss_kernels_match_rational_elimination(n):
     rng = Random(4000 + n)
     for _ in range(3 if n < 40 else 1):
         for name, rows in _lazy_divisor_cases(n, rng).items():
-            rank, det = _rational_echelon(rows)
-            assert det_bareiss([row[:] for row in rows]) == det, name
-            assert _rank_bareiss([row[:] for row in rows]) == rank, name
+            assert det_bareiss([row[:] for row in rows]) == _rational_echelon(rows)[1], name
+            _assert_full_rank_test(rows, name)
             # a dependent extra row adds no rank; a zero column in front
-            # moves every step one column on
+            # has no pivot
             if rows:
                 extra = [a - 2 * b for a, b in zip(rows[0], rows[-1])]
-                assert _rank_bareiss([row[:] for row in rows] + [extra]) == rank, name
-            assert _rank_bareiss([[0] + row for row in rows]) == rank, name
+                _assert_full_rank_test([row[:] for row in rows] + [extra], name)
+                assert det_bareiss([[0] + row for row in rows]) == 0, name
 
 
 def _macaulay_matrices(n, rng):
@@ -173,10 +179,9 @@ def _macaulay_matrices(n, rng):
 def test_bareiss_kernels_on_macaulay_matrices(n):
     rng = Random(6000 + n)
     for name, rows in _macaulay_matrices(n, rng):
-        rank, det = _rational_echelon(rows)
         if name != "all":
-            assert det_bareiss([row[:] for row in rows]) == det, name
-        assert _rank_bareiss([row[:] for row in rows]) == rank, name
+            assert det_bareiss([row[:] for row in rows]) == _rational_echelon(rows)[1], name
+        _assert_full_rank_test(rows, name)
 
 
 def _kernel_cases(n, p, rng):
@@ -518,7 +523,7 @@ def test_sparse_mod_p_resultants_equal_the_lifts_resultant_mod_p(p, monkeypatch)
         trial += 1
 
 
-def test_rank_bareiss_matches_rational_elimination(rng):
+def test_bareiss_full_column_rank_matches_rational_elimination(rng):
     for _ in range(60):
         n_rows, n_cols, true_rank = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
         left = [[rng.randint(-5, 5) for _ in range(true_rank)] for _ in range(n_rows)]
@@ -526,7 +531,7 @@ def test_rank_bareiss_matches_rational_elimination(rng):
                  for _ in range(true_rank)]
         rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if right
                 else [0] * n_cols for row in left]
-        assert _rank_bareiss([row[:] for row in rows]) == _rational_echelon(rows)[0]
+        _assert_full_rank_test(rows)
 
 
 def test_integer_discriminant_when_every_retry_degenerates():
