@@ -104,7 +104,9 @@ def incidence_form(domain: Domain, variables=VARS_BIQUAD) -> MultiPoly:
 def _check_22(f: MultiPoly):
     if f.vars != VARS_BIQUAD:
         raise VariableSetError(f"expected variables {VARS_BIQUAD}")
-    if not f.is_zero() and f.bidegree(X_BLOCK, Z_BLOCK) != (2, 2):
+    # x block: exponents 0-2, z block: 3-5; bidegree raises if not bihomogeneous
+    if not all(e[0] + e[1] + e[2] == 2 == e[3] + e[4] + e[5] for e in f.terms):
+        f.bidegree(X_BLOCK, Z_BLOCK)
         raise DegreeError("expected a bihomogeneous (2,2) form")
 
 

@@ -1,57 +1,39 @@
-"""Macaulay resultants of ternary forms and discriminants of plane curves.
+"""Resultants of ternary forms and discriminants of plane curves.
 
-For three ternary forms of equal degree d, the classical square Macaulay
-matrix M is built at the critical degree nu = 3(d-1)+1: rows and columns are
-indexed by the degree-nu monomials, and the row of a monomial m holds the
-coefficients of (m / v_i^d) * g_i, where v_i is the first variable whose
-exponent in m reaches d.  The resultant is the exact quotient
+Over ZZ and QQ (cleared of denominators) the resultant of three ternary
+d-ics is the determinant of their hybrid Sylvester-Bezout matrix
+(``_hybrid_rows``), with no extraneous factor and so no degenerate case,
+by fraction-free Bareiss (Math. Comp. 1968) in which each row keeps its own
+divisor: the pivot of the last step that updated it.  A step at which a
+row's lead is zero would only multiply it by p_k / p_(k-1); these factors
+telescope, so such a row is not touched.
 
-    Res(g1, g2, g3) = det(M) / det(M'),
-
-where M' is the submatrix indexed by the monomials divisible by at least two
-of v_1^d, v_2^d, v_3^d.  The identity det(M) = Res * det(M') holds for all
-coefficient values, so the quotient is valid whenever det(M') != 0.  When
-det(M') vanishes, the computation is retried on the forms with their
-variables permuted (five retries that only relabel exponents; an odd
-permutation multiplies the resultant by (-1)^d), then under a fixed sequence
-of unimodular shears (det = 1 leaves the resultant unchanged).  The rank
-certificate below takes over when all fourteen retries degenerate.
+Over GF(p) it is the classical Macaulay quotient det(M) / det(M'), M the
+square matrix at the critical degree 3(d-1)+1 whose row of a monomial m
+holds (m / v^d) g_v for the first variable v with m_v >= d, and M' its
+submatrix on the monomials divisible by at least two of the v^d.  When
+det(M') vanishes mod p the quotient is retried on the five permutations of
+the variables (an odd one multiplies the resultant by (-1)^d), and when
+all six vanish the hybrid determinant is taken mod p.
 
 The curve discriminant is the resultant of the three partial derivatives,
 homogeneous of degree 3(n-1)^2 in the coefficients; dividing by the content
 of that integer polynomial, n^a with a = ((n-1)^3 + 1)/n (Demazure), gives
 the primitive normalization.
 
-Every elimination, over the integers and over prime fields, reads one
-layout per degree tuple (``_layout``): column (a, b, c) is field
-b(D + 1) + c, the fields with b + c > D are holes, and each row of the
-Macaulay matrix is a form shifted up by the fields of its multiplier.  M is
-those rows, M' the same rows cut to its columns; rows and columns are both
-in field order, so neither determinant changes.  Over the integers the rows
-are dense lists, one entry per column, and their determinants are
-fraction-free Bareiss (Math. Comp. 1968) in which each row keeps its own
-divisor: the pivot of the last step that updated it.  A step at which a
-row's lead is zero would only multiply it by p_k / p_(k-1), and these
-factors telescope to p_(k-1) / p_j over the steps since its last update
-j, so such a row is not touched, and an updated row is divided by p_j
-instead of p_(k-1).  Macaulay rows in field order start late, so most rows
-skip most steps.  Over prime fields each form is packed into one
-Python integer, w bits a field, each row is a shift of it, and M' is M's
-rows masked.  ``_eliminate_mod_p`` reduces them row by row.  Each pivot row
-has every field reduced mod p once, at once, by division by an invariant
-integer (Granlund-Montgomery), a few big-integer operations per pivot
-whatever the field width, and every other row with lead l takes it times
-the one scalar -l / lead mod p.
+Every Macaulay elimination reads one layout per degree tuple (``_layout``):
+column (a, b, c) is field b(D + 1) + c, and each row is a form shifted up by
+the fields of its multiplier, M' the rows of M masked to its columns; rows
+and columns are both in field order, so neither determinant changes.  Each
+form is packed into one Python integer, w bits a field, and
+``_eliminate_mod_p`` reduces each pivot row mod p at once by division by an
+invariant integer (Granlund-Montgomery), then adds it to every other row
+with lead l times the one scalar -l / lead mod p.
 
 Smoothness mod p needs no value, only whether the partials (with the form
-itself when p divides the degree) have a common zero over F_p-bar, and
-that is a rank certificate, ``_no_common_zero``: forms with no common zero
-span every form of degree d1 + d2 + d3 - 2 (Macaulay).  The same layout and
-elimination decide it; it has no degenerate case, so no shear retry,
-content witness or point scan is involved.  It also settles the resultant
-when every retry degenerates, forms with a common zero having resultant 0:
-over GF(p) by the rank mod p, over ZZ and QQ by whether ``det_bareiss``
-finds a pivot in every column of the same Macaulay rows.
+itself when p divides the degree) have a common zero over F_p-bar: a rank
+certificate, ``_no_common_zero``, on the same layout, since forms with no
+common zero span every form of degree d1 + d2 + d3 - 2 (Macaulay).
 """
 
 from __future__ import annotations
@@ -66,7 +48,6 @@ from .domains import QQ, ZZ, PrimeField
 from .errors import (
     DegreeError,
     DomainMismatchError,
-    MacaulayDegenerateError,
     VariableSetError,
     ZeroInputError,
 )
@@ -281,13 +262,12 @@ def _permutation_sign(order) -> int:
 @dataclass(frozen=True)
 class _Layout:
     """Where the Macaulay rows of forms of degrees d1, d2, d3 (and more) sit,
-    in degree D = d1 + d2 + d3 - 2, over every ring.
+    in degree D = d1 + d2 + d3 - 2, for the eliminations over GF(p).
 
     Column (a, b, c) is field b*stride + c, stride = D + 1, so the multiple
     of a form by x^i y^j z^k is the form shifted up by j*stride + k
-    fields, and fields with b + c > D are holes.  ``columns`` are the other
-    fields, in order: column k of a Macaulay matrix is the k-th of them.
-    ``rows`` holds, as (form, shift) pairs in column order, the rows of the
+    fields, and fields with b + c > D are holes: column k of a Macaulay
+    matrix is the k-th field that is not a hole.  ``rows`` holds, as (form, shift) pairs in column order, the rows of the
     classical matrix: the row of a monomial m is m / v^d_v times the form of
     the first variable v with m_v >= d_v.  For three forms of equal degree
     d, D is the critical degree 3(d - 1) + 1 and these rows make the square
@@ -301,7 +281,6 @@ class _Layout:
     """
 
     stride: int
-    columns: tuple[int, ...]
     rows: tuple[tuple[int, int], ...]
     gaps: tuple[int, ...]
     spare: tuple[tuple[int, int], ...]
@@ -336,7 +315,6 @@ def _layout(degrees: tuple[int, ...]) -> _Layout:
     )
     return _Layout(
         stride,
-        tuple(columns),
         tuple(rows),
         _gaps(columns),
         spare,
@@ -363,25 +341,6 @@ def _shifted(packed: list[int], pairs, w: int) -> list[int]:
     return [packed[g] << (shift * w) for g, shift in pairs]
 
 
-def _integer_rows(layout: _Layout, terms, pairs, columns) -> list[list[int]]:
-    """Dense integer rows named by (form, shift) pairs, from each form's
-    ((a, b, c), coefficient) pairs; entry k of a row is its field
-    ``columns[k]``, and a term that lands on no field of ``columns`` is
-    dropped."""
-    index = {field: k for k, field in enumerate(columns)}
-    stride = layout.stride
-    fields = [[(b * stride + c, coeff) for (_, b, c), coeff in t] for t in terms]
-    rows = []
-    for g, shift in pairs:
-        row = [0] * len(index)
-        for field, coeff in fields[g]:
-            k = index.get(shift + field)
-            if k is not None:
-                row[k] = coeff
-        rows.append(row)
-    return rows
-
-
 def _minor_packed_rows(layout: _Layout, rows: list[int], w: int) -> list[int]:
     """The rows of M', from the rows of M masked to its columns, with its
     first column moved to field 0."""
@@ -390,61 +349,22 @@ def _minor_packed_rows(layout: _Layout, rows: list[int], w: int) -> list[int]:
     return [(rows[i] & mask) >> low for i in layout.minor_rows]
 
 
-_SHEAR_TABLE = (
-    (1, 0, 0, 1, 0, 0),
-    (0, 1, 0, 0, 1, 0),
-    (1, 1, 0, 0, 0, 1),
-    (0, 0, 1, 1, 1, 0),
-    (2, 0, 1, 0, 1, 1),
-    (1, 2, 0, 1, 0, 2),
-    (0, 1, 2, 2, 1, 0),
-    (2, 1, 1, 1, 2, 1),
-)
+def _quotient(layout: _Layout, forms, p: int) -> int | None:
+    """det(M)/det(M') over GF(p), or None when det(M') = 0.
 
-
-def _unimodular(attempt: int) -> list[list[int]]:
-    """attempt-th fixed unimodular change: a lower shear times an upper shear."""
-    a, b, c, d, e, f = _SHEAR_TABLE[attempt]
-    lower = ((1, 0, 0), (a, 1, 0), (b, c, 1))
-    upper = ((1, d, e), (0, 1, f), (0, 0, 1))
-    return [
-        [sum(lower[i][k] * upper[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _quotient(layout: _Layout, forms, p: int | None) -> int | None:
-    """det(M)/det(M') over ZZ (p None) or GF(p), or None when det(M') = 0.
-
-    Both read the rows and columns of M and M' from the layout, both in
-    field order, a common permutation of the monomial order, so neither
-    determinant changes.  Over ZZ the rows are dense, for Bareiss.  Over
-    GF(p) (coefficients in [0, p)) each form is packed once; the rows of M
-    are its shifts and those of M' the same rows masked to the columns of
-    M'.
+    The coefficients are in [0, p).  Each form is packed once; the rows of
+    M are its shifts and those of M' the same rows masked to the columns of
+    M', both in field order, a common permutation of the monomial order, so
+    neither determinant changes.
     """
-    terms = [g.terms.items() for g in forms]
-    if p is not None:
-        w = _field_width(len(layout.gaps), p)
-        rows = _shifted(_pack(layout, terms, w), layout.rows, w)
-        dprime = 1
-        if layout.minor_rows:
-            minor = _minor_packed_rows(layout, rows, w)
-            dprime = _eliminate_mod_p(minor, p, w, layout.minor_gaps)
-            if dprime == 0:
-                return None
-        return _eliminate_mod_p(rows, p, w, layout.gaps) * pow(dprime, p - 2, p) % p
+    w = _field_width(len(layout.gaps), p)
+    rows = _shifted(_pack(layout, [g.terms.items() for g in forms], w), layout.rows, w)
     dprime = 1
     if layout.minor_rows:
-        pairs = [layout.rows[i] for i in layout.minor_rows]
-        dprime = det_bareiss(_integer_rows(layout, terms, pairs, layout.minor_columns))
+        dprime = _eliminate_mod_p(_minor_packed_rows(layout, rows, w), p, w, layout.minor_gaps)
         if dprime == 0:
             return None
-    rows = _integer_rows(layout, terms, layout.rows, layout.columns)
-    quotient, remainder = divmod(det_bareiss(rows), dprime)
-    if remainder:
-        raise ArithmeticError("Macaulay quotient failed to divide exactly")
-    return quotient
+    return _eliminate_mod_p(rows, p, w, layout.gaps) * pow(dprime, p - 2, p) % p
 
 
 def _permuted(g: MultiPoly, perm) -> MultiPoly:
@@ -453,48 +373,132 @@ def _permuted(g: MultiPoly, perm) -> MultiPoly:
     return MultiPoly._trusted(g.domain, g.vars, terms)
 
 
-def _sheared(forms):
-    """(sign, forms) of each retry: the forms themselves, their images under
-    the five other permutations of the variables, then under each fixed
-    unimodular change.
+def _permuted_retries(forms):
+    """(sign, forms) of each retry: the forms themselves, then their images
+    under the five other permutations of the variables.
 
     A change of variables A multiplies the resultant of three d-ics by
     det(A)^(d^3).  A permutation only relabels exponents, with no
     substitution and no growth of the coefficients; an odd one has
-    det = -1, so its sign is (-1)^d.  A shear has det = 1.  The resultant
-    is the sign times the retry's Macaulay quotient.
+    det = -1, so its sign is (-1)^d.  The resultant is the sign times the
+    retry's Macaulay quotient.
     """
     d = forms[0].homogeneous_degree()
     yield 1, forms
     for perm in list(permutations(range(3)))[1:]:
         yield _permutation_sign(perm) ** d, tuple(_permuted(g, perm) for g in forms)
-    for attempt in range(len(_SHEAR_TABLE)):
-        change = _unimodular(attempt)
-        yield 1, tuple(g.substitute_linear(change) for g in forms)
+
+
+# -- the hybrid Sylvester-Bezout matrix -------------------------------------------
+
+
+def _key_width(d: int) -> int:
+    """Bits of a packed-key field for three d-ics: 2d - 2 is the largest exponent."""
+    return max(2 * d - 2, 1).bit_length()
+
+
+@lru_cache(maxsize=64)
+def _hybrid_layout(d: int) -> tuple[int, dict[int, int], tuple[int, ...], tuple[int, ...]]:
+    """The key width w, the column of each x-key of degree 2d - 2, and the
+    x-keys of degree d - 2 (Sylvester multipliers) and y-keys of degree
+    d - 1 (Bezout rows), in field order.  The key of x^a y^b z^c is
+    c + (b << w), so keys ascend as (b, c) do; a Morley-form key is
+    x-key + (y-key << 2w), the first exponents set by the degrees.
+    """
+    w = _key_width(d)
+    top = 2 * d - 2
+    keys = [c | b << w for b in range(top + 1) for c in range(top + 1 - b)]
+    column = {key: k for k, key in enumerate(keys)}
+    multipliers = tuple(c | b << w for b in range(d - 1) for c in range(d - 1 - b))
+    bezout = tuple(c | b << w for b in range(d) for c in range(d - b))
+    return w, column, multipliers, bezout
+
+
+def _divided_differences(terms, d: int, w: int) -> list[list[dict[int, int]]]:
+    """Delta_0, Delta_1, Delta_2 of one d-ic, each as d term maps (packed
+    key -> coefficient) by y-degree, with f(x) - f(y) = sum_j (x_j - y_j)
+    Delta_j, x_j swapped for y_j one variable at a time: x_0^a x_1^b x_2^c
+    gives x_0^k y_0^(a-1-k) x_1^b x_2^c, y_0^a x_1^k y_1^(b-1-k) x_2^c and
+    y_0^a y_1^b x_2^k y_2^(c-1-k) over k.  No two terms share a key.
+    """
+    first, second, third = diffs = [[{} for _ in range(d)] for _ in range(3)]
+    for (a, b, c), coeff in terms:
+        key = c | b << w
+        for t in range(a):
+            first[t][key] = coeff
+        for k in range(b):
+            second[a + b - 1 - k][c | k << w | (b - 1 - k) << 3 * w] = coeff
+        for k in range(c):
+            third[d - 1 - k][k | (c - 1 - k) << 2 * w | b << 3 * w] = coeff
+    return diffs
+
+
+def _accumulate(out: dict[int, int], left: dict[int, int], right: dict[int, int], sign: int):
+    """out += sign * left * right, on packed keys."""
+    for ka, ca in left.items():
+        ca *= sign
+        for kb, cb in right.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + ca * cb
+
+
+def _hybrid_rows(forms, d: int) -> list[list[int]]:
+    """The hybrid Sylvester-Bezout matrix of three ternary d-ics as dense
+    integer rows, d(2d - 1) square, whose determinant is their resultant
+    (Jouanolou, Adv. Math. 126, 1997; D'Andrea-Dickenstein, JPAA 164, 2001).
+
+    Columns are the monomials of degree 2d - 2, rows the x^alpha f_i with
+    |alpha| = d - 2, form by form, then one Bezout row for each y^beta of
+    degree d - 1: its coefficient in the Morley form det(Delta_ij), all in
+    field order, so that Res(x^d, y^d, z^d) = +1.  Only the y-degree d - 1
+    part is built: the minors up to it, the first row's products at it.
+    """
+    w, column, multipliers, bezout = _hybrid_layout(d)
+    n = len(column)
+    rows = []
+    for form in forms:
+        keyed = [(c | b << w, coeff) for (_, b, c), coeff in form.terms.items()]
+        for shift in multipliers:
+            row = [0] * n
+            for key, coeff in keyed:
+                row[column[key + shift]] = coeff
+            rows.append(row)
+    f, g, h = (_divided_differences(form.terms.items(), d, w) for form in forms)
+    morley = {}
+    for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+        # cofactor i of the first row: the minor on columns j < k, by y-degree
+        minor = [{} for _ in range(d)]
+        for t in range(d):
+            for u in range(d - t):
+                _accumulate(minor[t + u], g[j][t], h[k][u], 1)
+                _accumulate(minor[t + u], g[k][t], h[j][u], -1)
+        for t in range(d):
+            _accumulate(morley, f[i][t], minor[d - 1 - t], (-1) ** i)
+    by_y = {y: [0] * n for y in bezout}
+    low = (1 << 2 * w) - 1
+    for key, coeff in morley.items():
+        by_y[key >> 2 * w][column[key & low]] = coeff
+    rows.extend(by_y[y] for y in bezout)
+    return rows
 
 
 def _resultant_exact(forms, p: int | None):
-    """The Macaulay quotient over ZZ (p None) or GF(p), with the degenerate path.
+    """The resultant of three d-ics over ZZ (p None) or GF(p).
 
-    When every retry degenerates, forms with a common zero have resultant 0,
-    by the rank certificate of ``_no_common_zero`` in the same ring.  Over
-    GF(p) the last step is the integer resultant of the least-residue lifts,
-    reduced mod p: the resultant is an integer polynomial in the
-    coefficients, so the two agree.
+    Over ZZ the hybrid determinant.  Over GF(p) the Macaulay quotient of
+    the first permutation of the variables whose det(M') is a unit, else
+    the hybrid determinant of the least-residue lifts mod p: an integer
+    polynomial in the coefficients, it reduces to the resultant mod p.
     """
     d = forms[0].homogeneous_degree()
+    if p is None:
+        return det_bareiss(_hybrid_rows(forms, d))
     layout = _layout((d,) * 3)
-    for sign, moved in _sheared(forms):
+    for sign, moved in _permuted_retries(forms):
         quotient = _quotient(layout, moved, p)
         if quotient is not None:
-            return sign * quotient if p is None else sign * quotient % p
-    if not _no_common_zero([(d, g.terms.items()) for g in forms], p):
-        return 0
-    if p is not None:
-        return _resultant_exact(tuple(_lift(g) for g in forms), None) % p
-    raise MacaulayDegenerateError(
-        "reduced Macaulay minor vanished for every retry; resultant undetermined"
-    )
+            return sign * quotient % p
+    return det_mod_p(_hybrid_rows(forms, d), p)
 
 
 def macaulay_resultant(g1: MultiPoly, g2: MultiPoly, g3: MultiPoly):
@@ -637,33 +641,25 @@ def discriminant(f: MultiPoly, normalize: bool = True) -> DiscriminantReport:
 # -- the rank certificate and smoothness over prime fields ----------------------
 
 
-def _no_common_zero(forms, p: int | None) -> bool:
-    """Whether ternary forms over ZZ (p None) or F_p have no common zero
-    over the algebraic closure.
+def _no_common_zero(forms, p: int) -> bool:
+    """Whether ternary forms over F_p have no common zero over F_p-bar.
 
     ``forms`` holds (degree, terms) pairs, terms as ((a, b, c), coefficient)
-    pairs, coefficients in [0, p) over F_p; there are at least three, and
-    the first three have the largest degrees d1, d2, d3.  Macaulay's theorem
-    (Lazard, EUROCAL 1983; Cox-Little-O'Shea, Using Algebraic Geometry,
-    ch. 3): the forms have no common zero exactly when their multiples span
-    every form of degree D = d1 + d2 + d3 - 2.  Rank over F_p is rank over
-    F_p-bar, and rank over QQ rank over Q-bar, so the test is the full
-    column rank of that Macaulay matrix, in the ``_layout`` of the degrees.
-
-    Both rings ask the same question of their kernel: whether every column
-    has a pivot.  Over ZZ ``det_bareiss`` eliminates every multiple of
-    every form.  Over F_p the rows are shifts of the packed forms; the rows
-    of the classical square matrix are eliminated first, and the other
-    multiples are spare rows, brought in only when a column has no pivot
-    (for instance when the extraneous factor det M' vanishes).
+    pairs, coefficients in [0, p); there are at least three, and the first
+    three have the largest degrees d1, d2, d3.  Macaulay's theorem (Lazard,
+    EUROCAL 1983; Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3): the
+    forms have no common zero exactly when their multiples span every form
+    of degree D = d1 + d2 + d3 - 2.  Rank over F_p is rank over F_p-bar, so
+    the test is the full column rank of that Macaulay matrix, in the
+    ``_layout`` of the degrees: whether every column has a pivot.  The rows
+    are shifts of the packed forms; the rows of the classical square matrix
+    are eliminated first, and the other multiples are spare rows, brought
+    in only when a column has no pivot (for instance when the extraneous
+    factor det M' vanishes).
     """
     layout = _layout(tuple(degree for degree, _ in forms))
-    terms = [t for _, t in forms]
-    if p is None:
-        rows = _integer_rows(layout, terms, layout.rows + layout.spare, layout.columns)
-        return det_bareiss(rows) != 0
     w = _field_width(len(layout.gaps), p)
-    packed = _pack(layout, terms, w)
+    packed = _pack(layout, [t for _, t in forms], w)
     rows, spare = _shifted(packed, layout.rows, w), _shifted(packed, layout.spare, w)
     return _eliminate_mod_p(rows, p, w, layout.gaps, spare) != 0
 
@@ -703,11 +699,6 @@ def is_smooth_mod_p(f: MultiPoly, p: int) -> bool:
     if len(generators) < 3:
         return False
     return _no_common_zero([(degree, g.terms.items()) for degree, g in generators], p)
-
-
-def _lift(g: MultiPoly) -> MultiPoly:
-    """Least-residue lift F_p -> ZZ (coefficientwise)."""
-    return MultiPoly(ZZ, g.vars, dict(g.terms))
 
 
 def bad_primes(

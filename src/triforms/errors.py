@@ -31,12 +31,6 @@ class SingularMatrixError(TriformsError):
     kind = "singular-matrix"
 
 
-class MacaulayDegenerateError(TriformsError):
-    """All retries of the degenerate-minor path failed."""
-
-    kind = "macaulay-degenerate"
-
-
 class PrimeError(TriformsError):
     kind = "bad-prime"
 

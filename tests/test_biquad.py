@@ -91,8 +91,19 @@ def test_coset_soundness_via_multiplier_solve(rng):
 
 
 def test_wrong_bidegree_rejected():
-    with pytest.raises(DegreeError):
-        canonicalize(parse_poly("x1^2*z1", variables=VARS_BIQUAD, domain=ZZ))
+    # a bihomogeneous form of another bidegree, or of the right total degree
+    # with its terms split unevenly, and one that is not bihomogeneous, each
+    # through both entry points
+    for text, message in (
+        ("x1^2*z1", "expected a bihomogeneous (2,2) form"),
+        ("x1^3*z1 + x2^3*z3", "expected a bihomogeneous (2,2) form"),
+        ("x1^2*z1^2 + x1*z1", "polynomial is not bihomogeneous"),
+        ("x1^2*z1^2 + x1^3*z2", "polynomial is not bihomogeneous"),
+    ):
+        for check in (canonicalize, ideal_multiplier):
+            with pytest.raises(DegreeError) as info:
+                check(parse_poly(text, variables=VARS_BIQUAD, domain=ZZ))
+            assert str(info.value) == message, (check.__name__, text)
 
 
 def _sparse_form22(dom, rng, density):

@@ -6,7 +6,7 @@ exhaustive singular-point search over F_p and F_{p^2}.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import permutations
 from math import gcd
 from random import Random
 
@@ -15,17 +15,17 @@ import pytest
 from triforms import elimination
 from triforms.domains import GF, QQ, ZZ
 from triforms.elimination import (
+    _divided_differences,
     _field_width,
-    _integer_rows,
+    _hybrid_rows,
+    _key_width,
     _layout,
-    _lift,
     _minor_packed_rows,
-    _no_common_zero,
     _pack,
+    _permuted_retries,
     _quotient,
     _residues,
     _shifted,
-    _sheared,
     bad_primes,
     det_bareiss,
     det_mod_p,
@@ -35,12 +35,7 @@ from triforms.elimination import (
     normalization_constant,
     resultant_of_partials,
 )
-from triforms.errors import (
-    DegreeError,
-    DomainMismatchError,
-    MacaulayDegenerateError,
-    ZeroInputError,
-)
+from triforms.errors import DegreeError, DomainMismatchError, ZeroInputError
 from triforms.fixtures import coordinate_triangle, fermat
 from triforms.matrices import Mat3, act_ternary
 from triforms.poly import MultiPoly, VARS_XYZ, parse_poly
@@ -162,17 +157,20 @@ def test_bareiss_kernels_match_rational_elimination(n):
 
 
 def _macaulay_matrices(n, rng):
-    """The square M and M' that the integer quotient of a raw discriminant
-    builds for an n-ic (a dense form, a sparse one), and the rows of every
-    multiple that the exact rank certificate eliminates."""
-    layout = _layout((n - 1,) * 3)
+    """For the partials of an n-ic (a dense form, a sparse one): the square
+    hybrid matrix of their resultant, the reference M and M' of its
+    Macaulay quotient, and the rows of every multiple of the partials in
+    the degree of M, of full column rank exactly when they have no common
+    zero."""
+    degrees = (n - 1,) * 3
+    plan = _reference_plan(degrees)
     for density in (1.0, 0.4):
         f = _sparse_form(ZZ, rng, n, density)
-        terms = [g.terms.items() for g in (f.partial_derivative(v) for v in f.vars)]
-        minor_pairs = [layout.rows[i] for i in layout.minor_rows]
-        yield "M", _integer_rows(layout, terms, layout.rows, layout.columns)
-        yield "M'", _integer_rows(layout, terms, minor_pairs, layout.minor_columns)
-        yield "all", _integer_rows(layout, terms, layout.rows + layout.spare, layout.columns)
+        partials = [f.partial_derivative(v) for v in f.vars]
+        yield "hybrid", _hybrid_rows(partials, n - 1)
+        yield "M", _reference_rows(plan, partials)
+        yield "M'", _reference_rows(plan, partials, plan.nonreduced)
+        yield "all", list(_multiples(plan, partials, degrees).values())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -258,18 +256,23 @@ def test_scaled_reduces_every_field_value_at_width_6(p):
 _Reference = namedtuple("_Reference", "monomials assignment nonreduced")
 
 
-def _reference_plan(d):
-    """The classical Macaulay matrix of three d-ics, built monomial by
-    monomial: the monomials of degree 3d - 2 (x-exponent descending, then
-    y's), the row of each as (form, multiplier), m / v^d times the form of
-    the first variable v with m_v >= d, and the indices of M'."""
-    nu = 3 * d - 2
+def _reference_plan(degrees):
+    """The classical Macaulay matrix of ternary forms of degrees d1, d2, d3,
+    built monomial by monomial: the monomials of degree d1 + d2 + d3 - 2
+    (x-exponent descending, then y's), the row of each as (form,
+    multiplier), m / v^d_v times the form of the first variable v with
+    m_v >= d_v, and the indices of M', the monomials divisible by at least
+    two of x^d1, y^d2, z^d3."""
+    nu = sum(degrees) - 2
     monomials = [(a, b, nu - a - b) for a in range(nu, -1, -1) for b in range(nu - a, -1, -1)]
     assignment = []
     for m in monomials:
-        which = next(v for v in range(3) if m[v] >= d)
-        assignment.append((which, tuple(e - d * (v == which) for v, e in enumerate(m))))
-    nonreduced = [i for i, m in enumerate(monomials) if sum(e >= d for e in m) >= 2]
+        which = next(v for v in range(3) if m[v] >= degrees[v])
+        shift = degrees[which]
+        assignment.append((which, tuple(e - shift * (v == which) for v, e in enumerate(m))))
+    nonreduced = [
+        i for i, m in enumerate(monomials) if sum(e >= d for e, d in zip(m, degrees)) >= 2
+    ]
     return _Reference(monomials, assignment, nonreduced)
 
 
@@ -289,56 +292,47 @@ def _reference_rows(plan, forms, subset=None):
     return rows
 
 
+def _reference_quotient(forms, degrees):
+    """det M / det M' of the reference matrices of integer forms, both by
+    ``det_bareiss``, or None when det M' = 0."""
+    plan = _reference_plan(degrees)
+    minor = det_bareiss(_reference_rows(plan, forms, plan.nonreduced))
+    if minor == 0:
+        return None
+    quotient, remainder = divmod(det_bareiss(_reference_rows(plan, forms)), minor)
+    assert remainder == 0
+    return quotient
+
+
+def _multiples(plan, forms, degrees, ids=None):
+    """Every multiple of every form in the degree of the plan, keyed by
+    (form, multiplier), as a dense row over the plan's monomials (or those
+    at ``ids``, in that order)."""
+    nu = sum(degrees) - 2
+    monomials = plan.monomials if ids is None else [plan.monomials[i] for i in ids]
+    rows = {}
+    for g, (form, d) in enumerate(zip(forms, degrees)):
+        for a in range(nu - d, -1, -1):
+            for b in range(nu - d - a, -1, -1):
+                mult = (a, b, nu - d - a - b)
+                row = {}
+                for exps, coeff in form.terms.items():
+                    row[tuple(m + e for m, e in zip(mult, exps))] = coeff
+                rows[g, mult] = [row.get(m, 0) for m in monomials]
+    return rows
+
+
+def _lift(g):
+    """The least-residue lift of a form over GF(p) to ZZ."""
+    return MultiPoly(ZZ, g.vars, dict(g.terms))
+
+
 def _field_order(plan, layout):
     """The field of each monomial in the layout, and the indices of M and of
     M' sorted by field."""
     field = {i: layout.stride * b + c for i, (_, b, c) in enumerate(plan.monomials)}
     full = sorted(field, key=field.get)
     return field, full, [i for i in full if i in plan.nonreduced]
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 13, 10007, 2**61 - 1])
-def test_rows_from_terms_match_dense_rows(p):
-    # the integer rows read from the layout, on the least-residue lifts of
-    # GF(p) forms: M and M' are the reference matrices with rows and columns
-    # in field order, and the rank rows are every multiple of every form;
-    # up to d = 3, where the GF(p) quotient is defined, the integer one
-    # reduces to it (Bareiss on 61-bit lifts takes seconds at d = 5)
-    rng = Random(p % 1000)
-    for d in range(1, 6):
-        plan, layout = _reference_plan(d), _layout((d, d, d))
-        _, full, reduced = _field_order(plan, layout)
-        D, stride = 3 * d - 2, layout.stride
-        for _ in range(3 if d < 5 else 1):
-            forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
-            lifts = tuple(_lift(g) for g in forms)
-            terms = [g.terms.items() for g in lifts]
-            dense = _reference_rows(plan, lifts)
-            minor_pairs = [layout.rows[i] for i in layout.minor_rows]
-            for pairs, columns, ids in (
-                (layout.rows, layout.columns, full),
-                (minor_pairs, layout.minor_columns, reduced),
-            ):
-                reference = [[dense[i][j] for j in ids] for i in ids]
-                assert _integer_rows(layout, terms, pairs, columns) == reference
-            multiples = {}  # (form, multiplier) -> its row, columns in field order
-            for g, lift in enumerate(lifts):
-                for a in range(D - d, -1, -1):
-                    for b in range(D - d - a, -1, -1):
-                        mult = (a, b, D - d - a - b)
-                        row = {}
-                        for exps, coeff in lift.terms.items():
-                            row[tuple(m + e for m, e in zip(mult, exps))] = coeff
-                        multiples[g, mult] = [row.get(plan.monomials[i], 0) for i in full]
-            pairs = layout.rows + layout.spare
-            built = {}
-            for (g, shift), row in zip(pairs, _integer_rows(layout, terms, pairs, layout.columns)):
-                b, c = divmod(shift, stride)
-                built[g, (D - d - b - c, b, c)] = row
-            assert len(built) == len(pairs) and built == multiples
-            expected = _quotient(layout, forms, p) if d <= 3 else None
-            if expected is not None:
-                assert _quotient(layout, lifts, None) % p == expected
 
 
 def _unpacked(row, positions, w):
@@ -349,13 +343,42 @@ def _unpacked(row, positions, w):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 10007, 2**61 - 1])
+def test_rows_from_terms_match_dense_rows(p):
+    # the packed rows of the rank certificate, the layout's rows and then
+    # its spare rows, are every multiple of every form in degree 3d - 2,
+    # columns in field order; up to d = 3, where the GF(p) quotient is
+    # defined, it is the reference integer quotient of the least-residue
+    # lifts, reduced mod p
+    rng = Random(p % 1000)
+    for d in range(1, 6):
+        plan, layout = _reference_plan((d,) * 3), _layout((d, d, d))
+        field, full, _ = _field_order(plan, layout)
+        w = _field_width(len(layout.gaps), p)
+        D, stride = 3 * d - 2, layout.stride
+        for _ in range(3 if d < 5 else 1):
+            forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
+            multiples = _multiples(plan, forms, (d,) * 3, full)
+            pairs = layout.rows + layout.spare
+            packed = _shifted(_pack(layout, [g.terms.items() for g in forms], w), pairs, w)
+            built = {}
+            for (g, shift), row in zip(pairs, packed):
+                b, c = divmod(shift, stride)
+                built[g, (D - d - b - c, b, c)] = _unpacked(row, [field[j] for j in full], w)
+            assert len(built) == len(pairs) and built == multiples
+            quotient = _quotient(layout, forms, p) if d <= 3 else None
+            if quotient is not None:
+                lifts = tuple(_lift(g) for g in forms)
+                assert _reference_quotient(lifts, (d,) * 3) % p == quotient
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 10007, 2**61 - 1])
 def test_shift_built_rows_match_reference_rows_in_field_order(p):
     # M and M' built by shifting packed forms are the reference matrices
     # with rows and columns both in field order (b, then c, ascending), and
     # the GF(p) quotient is the one of the dense reference matrices
     rng = Random(500 + p % 1000)
     for d in range(1, 6):
-        plan, layout = _reference_plan(d), _layout((d, d, d))
+        plan, layout = _reference_plan((d,) * 3), _layout((d, d, d))
         w = _field_width(len(layout.gaps), p)
         field, full, reduced = _field_order(plan, layout)
         for _ in range(3 if d < 5 else 1):
@@ -379,16 +402,110 @@ def test_macaulay_matrix_is_square_at_critical_degree():
         layout = _layout((d, d, d))
         nu = 3 * (d - 1) + 1
         assert layout.stride == nu + 1
-        assert len(layout.columns) == len(layout.rows) == (nu + 2) * (nu + 1) // 2
+        assert len(layout.gaps) == len(layout.rows) == (nu + 2) * (nu + 1) // 2
         # every monomial of degree 3d-2 is divisible by some v^d, and its row
-        # is the monomial over v^d times the form of v
-        for (which, shift), field in zip(layout.rows, layout.columns):
+        # is the monomial over v^d times the form of v; column k sits the
+        # sum of the first k gaps up
+        fields = [sum(layout.gaps[:k]) for k in range(len(layout.gaps))]
+        for (which, shift), field in zip(layout.rows, fields):
             b, c = divmod(field, layout.stride)
             mono = (nu - b - c, b, c)
             b, c = divmod(shift, layout.stride)
             mult = (nu - d - b - c, b, c)
             assert min(mult) >= 0 and mono[which] >= d
             assert all(m + d * (v == which) == e for v, (m, e) in enumerate(zip(mult, mono)))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_hybrid_matrix_is_square_and_gives_res_of_powers_one(d):
+    # d(2d - 1) Sylvester and Bezout rows against as many monomials of
+    # degree 2d - 2; the determinant is the resultant with its sign
+    forms = [parse_poly(f"{v}^{d}") for v in "xyz"]
+    rows = _hybrid_rows(forms, d)
+    assert len(rows) == d * (2 * d - 1) and all(len(row) == len(rows) for row in rows)
+    assert det_bareiss(rows) == 1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_hybrid_determinant_is_the_reference_macaulay_quotient(d):
+    # seeded dense and sparse integer triples; where det M' vanishes, the
+    # quotient of the first permutation of the variables with det M' != 0,
+    # times (-1)^d for an odd one (the transposition's determinant to the
+    # power d^3)
+    rng = Random(8100 + d)
+    for density in (1.0, 0.5, 0.25):
+        checked = drawn = 0
+        while checked < (4 if d < 5 else 1):
+            assert drawn < 40, "too few triples with a reference quotient"
+            drawn += 1
+            forms = tuple(_sparse_form(ZZ, rng, d, density) for _ in range(3))
+            for perm in permutations(range(3)):
+                moved = [
+                    MultiPoly(ZZ, g.vars, {tuple(e[v] for v in perm): c for e, c in g.terms.items()})
+                    for g in forms
+                ]
+                expected = _reference_quotient(moved, (d, d, d))
+                if expected is not None:
+                    odd = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3)) % 2
+                    assert det_bareiss(_hybrid_rows(forms, d)) == (-1) ** (d * odd) * expected
+                    checked += 1
+                    break
+
+
+def test_an_integer_resultant_is_one_bareiss_call(monkeypatch):
+    # over ZZ and QQ, one determinant of the hybrid matrix and no other
+    sizes = []
+    original = elimination.det_bareiss
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(elimination, "det_bareiss", recording)
+    rng = Random(8200)
+    for d in range(1, 6):
+        for dom in (ZZ, QQ):
+            sizes.clear()
+            macaulay_resultant(*(random_form(dom, rng, d, 9) for _ in range(3)))
+            assert sizes == [d * (2 * d - 1)]
+
+
+def _expand_morley_identity(diffs, d, w):
+    """sum_j (x_j - y_j) Delta_j as {(x exponents, y exponents): coefficient},
+    with each packed key unpacked and checked to pack back to itself."""
+    mask = (1 << w) - 1
+    total = Counter()
+    for j, groups in enumerate(diffs):
+        for t, group in enumerate(groups):
+            for key, coeff in group.items():
+                c, b, y2, y1 = ((key >> (i * w)) & mask for i in range(4))
+                assert key == c | b << w | y2 << 2 * w | y1 << 3 * w
+                x = (d - 1 - t - b - c, b, c)
+                y = (t - y1 - y2, y1, y2)
+                assert min(x + y) >= 0, (j, t, key)
+                for space, sign in ((0, 1), (1, -1)):
+                    step = [list(x), list(y)]
+                    step[space][j] += 1
+                    total[tuple(step[0]), tuple(step[1])] += sign * coeff
+    return {k: v for k, v in total.items() if v}
+
+
+def test_divided_differences_telescope_on_wide_packed_keys():
+    # f(x) - f(y) = sum_j (x_j - y_j) Delta_j, keys unpacked by the width
+    # the degree asks for: 10 bits at x^50 y^300 z^150, whose y- and
+    # z-exponents would carry out of 8-bit fields; then seeded forms of low
+    # degree
+    f = parse_poly("x^50*y^300*z^150")
+    cases = [(f, 500)] + [(random_form(ZZ, Random(8300 + d), d, 9), d) for d in (1, 2, 3, 4)]
+    for g, d in cases:
+        w = _key_width(d)
+        assert w == (10 if d == 500 else max(2 * d - 2, 1).bit_length())
+        diffs = _divided_differences(g.terms.items(), d, w)
+        expected = {}
+        for e, coeff in g.terms.items():
+            expected[e, (0, 0, 0)] = coeff
+            expected[(0, 0, 0), e] = -coeff
+        assert _expand_morley_identity(diffs, d, w) == expected
 
 
 def test_linear_resultant_is_coefficient_determinant():
@@ -428,15 +545,15 @@ def test_resultant_rejects_zero_and_mixed_degrees():
 
 
 def test_degenerate_minor_retry_path():
-    # the standard reduced minor vanishes for this triple; the unimodular
-    # retry must still produce the correct value, checked by the scaling law
+    # the reduced Macaulay minor vanishes for this triple, which has no
+    # bearing on the hybrid determinant; its value is checked by the
+    # scaling law
     g1 = parse_poly("-3*x^2 + 2*y^2 + 3*z^2")
     g2 = parse_poly("-2*x*z - 3*z^2")
     g3 = parse_poly("-2*x^2 + 2*x*z - 2*y*z")
-    plan = _reference_plan(2)
+    plan = _reference_plan((2, 2, 2))
     minor = _reference_rows(plan, (g1, g2, g3), plan.nonreduced)
     assert det_bareiss([row[:] for row in minor]) == 0
-    assert _quotient(_layout((2, 2, 2)), (g1, g2, g3), None) is None
     value = macaulay_resultant(g1, g2, g3)
     assert value == 49920
     assert macaulay_resultant(g1.scale(2), g2, g3) == 2**4 * value
@@ -444,56 +561,55 @@ def test_degenerate_minor_retry_path():
 
 def test_raw_discriminant_mod_p_when_every_retry_degenerates():
     # every GF(5) retry of the Macaulay quotient degenerates for this smooth
-    # quartic; the value comes from the integer resultant of the lifts
+    # quartic; the value is the hybrid determinant mod 5
     f = parse_poly(
         "4*x^3*y + 3*x^3*z + 3*x^2*y*z + x^2*z^2 + x*y^2*z + 4*x*y*z^2 + 2*y^3*z + 4*z^4"
     )
     fbar = f.reduce_mod_p(5)
     partials = tuple(fbar.partial_derivative(v) for v in fbar.vars)
     layout = _layout((3, 3, 3))
-    assert all(_quotient(layout, moved, 5) is None for _, moved in _sheared(partials))
+    assert all(_quotient(layout, moved, 5) is None for _, moved in _permuted_retries(partials))
     raw = discriminant(fbar, normalize=False).raw
     assert raw == macaulay_resultant(*partials) == resultant_of_partials(f) % 5 != 0
     assert is_smooth_mod_p(f, 5) is True
 
 
-@pytest.mark.parametrize("p", [None, 7, 10007])
+@pytest.mark.parametrize("p", [7, 10007])
 def test_permuted_retries_give_the_resultant_up_to_their_sign(p):
     # each permutation of the variables yields its sign, (-1)^d when odd,
     # and that sign times its quotient, where det M' != 0, is the resultant
-    rng = Random(5300 + (p or 0))
-    dom = ZZ if p is None else GF(p)
+    rng = Random(5300 + p)
     for d in (1, 2, 3, 4):
         layout = _layout((d, d, d))
-        forms = tuple(random_form(dom, rng, d) for _ in range(3))
-        retries = list(islice(_sheared(forms), 6))
+        forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
+        retries = list(_permuted_retries(forms))
         assert [sign for sign, _ in retries] == [1] + [(-1) ** d, (-1) ** d, 1, 1, (-1) ** d]
         expected = macaulay_resultant(*forms)
         for sign, moved in retries:
             quotient = _quotient(layout, moved, p)
             if quotient is not None:
-                assert (sign * quotient if p is None else sign * quotient % p) == expected
+                assert sign * quotient % p == expected
 
 
 def test_gf2_triple_whose_retries_all_degenerate_has_resultant_1():
-    # no common zero over GF(2)-bar, yet every packed GF(2) retry, each
-    # permutation of the variables and each shear, degenerates; the integer
-    # resultant of the least-residue lifts is 1
+    # no common zero over GF(2)-bar, yet the packed GF(2) quotient of every
+    # permutation of the variables degenerates; the hybrid determinant mod 2
+    # is 1, as is the integer resultant of the least-residue lifts
     forms = tuple(parse_poly(t).reduce_mod_p(2) for t in ("y*z", "x^2 + x*y", "y^2 + z^2"))
     layout = _layout((2, 2, 2))
-    assert all(_quotient(layout, moved, 2) is None for _, moved in _sheared(forms))
+    assert all(_quotient(layout, moved, 2) is None for _, moved in _permuted_retries(forms))
     assert macaulay_resultant(*forms) == 1
     assert macaulay_resultant(*(_lift(g) for g in forms)) == 1
 
 
 def test_gf2_triple_rescued_by_a_permutation_of_the_variables():
     # the forms themselves and the first two permutations degenerate, the
-    # third answers, before any shear substitution
+    # third answers, before the hybrid determinant
     forms = tuple(
         parse_poly(t).reduce_mod_p(2) for t in ("y^2", "x*y + y^2 + z^2", "x^2 + y^2")
     )
     layout = _layout((2, 2, 2))
-    quotients = [_quotient(layout, moved, 2) for _, moved in islice(_sheared(forms), 6)]
+    quotients = [_quotient(layout, moved, 2) for _, moved in _permuted_retries(forms)]
     assert quotients == [None, None, None, 1, None, None]
     assert macaulay_resultant(*forms) == 1
 
@@ -501,26 +617,30 @@ def test_gf2_triple_rescued_by_a_permutation_of_the_variables():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sparse_mod_p_resultants_equal_the_lifts_resultant_mod_p(p, monkeypatch):
     # the GF(p) resultant is the reduction of the integer one; triples are
-    # drawn, at degrees 1 to 3 and densities 0.3 to 0.6, until one has fallen
-    # back on the lifts; with the permutations of the variables among the
-    # retries that took 354, 708 and 2169 draws at p = 2, 3 and 5
-    lifted = []
-    original = elimination._lift
+    # drawn, at degrees 1 to 3 and densities 0.3 to 0.6, until one with a
+    # nonzero resultant has every permuted Macaulay quotient degenerate and
+    # reaches the hybrid determinant mod p; that took 317, 24 and 33 draws
+    # at p = 2, 3 and 5, most of those that reached it sharing a zero
+    reached = []
+    original = elimination.det_mod_p
 
-    def counting(g):
-        lifted.append(g)
-        return original(g)
+    def counting(rows, q):
+        reached.append(q)
+        return original(rows, q)
 
-    monkeypatch.setattr(elimination, "_lift", counting)
+    monkeypatch.setattr(elimination, "det_mod_p", counting)
     rng = Random(5100 + p)
-    trial = 0
-    while not lifted:
-        assert trial < 5000, "no triple reached the lift"
+    for trial in range(1000):
         density = 0.3 + 0.1 * (trial // 3 % 4)
         forms = tuple(_sparse_form(GF(p), rng, 1 + trial % 3, density) for _ in range(3))
-        lifts = tuple(original(g) for g in forms)
-        assert macaulay_resultant(*forms) == macaulay_resultant(*lifts) % p, forms
-        trial += 1
+        lifts = tuple(_lift(g) for g in forms)
+        reached.clear()
+        value = macaulay_resultant(*forms)
+        assert value == macaulay_resultant(*lifts) % p, forms
+        if value and reached:
+            assert reached == [p]
+            return
+    pytest.fail("no triple with a nonzero resultant reached the hybrid determinant mod p")
 
 
 def test_bareiss_full_column_rank_matches_rational_elimination(rng):
@@ -535,20 +655,17 @@ def test_bareiss_full_column_rank_matches_rational_elimination(rng):
 
 
 def test_integer_discriminant_when_every_retry_degenerates():
-    # every shear retry's reduced minor vanishes for this singular quartic,
-    # xz(6x^2 - 7xz - 4yz + 4z^2); the exact rank of the Macaulay rows of
-    # its partials is deficient, so the raw discriminant is 0
+    # the reduced Macaulay minor of the partials of this singular quartic,
+    # xz(6x^2 - 7xz - 4yz + 4z^2), vanishes under every permutation of the
+    # variables; the hybrid determinant has no such case, and the raw
+    # discriminant is 0
     f = parse_poly("6*x^3*z - 7*x^2*z^2 - 4*x*y*z^2 + 4*x*z^3")
     partials = [f.partial_derivative(v) for v in f.vars]
-    layout = _layout((3, 3, 3))
-    assert all(_quotient(layout, moved, None) is None for _, moved in _sheared(partials))
-    assert not _no_common_zero([(3, g.terms.items()) for g in partials], None)
+    for _, moved in _permuted_retries(partials):
+        assert _reference_quotient(moved, (3, 3, 3)) is None
     for g in (f, f.to_rationals()):
         report = discriminant(g)
         assert report.raw == 0 and report.normalized == 0
-    # the smooth Fermat quartic's partials span every form of degree 7
-    fermat_partials = [fermat(4).partial_derivative(v) for v in VARS_XYZ]
-    assert _no_common_zero([(3, g.terms.items()) for g in fermat_partials], None)
 
 
 def test_rational_resultant_clears_denominators():
@@ -619,20 +736,19 @@ def _euler_oracle(f):
     n^((n-1)^2) Res(f, f_y, f_z) = Res(x, f_y, f_z) Res(f_x, f_y, f_z), where
     Res(x, f_y, f_z) is the Sylvester resultant of f_y(0, y, z) and
     f_z(0, y, z) (a Fraction elimination).  Res(f, f_y, f_z) is the Macaulay
-    quotient of degrees (n, n-1, n-1), two determinants of other sizes than
-    the raw value's.  Swapping two variables leaves the raw value alone (the
+    quotient of degrees (n, n-1, n-1) on the reference matrices, two
+    determinants of other sizes than the raw value's.  Swapping two variables leaves the raw value alone (the
     transposition has determinant -1 and n(n-1)^2 is even), so y and then z
     take the place of x when a denominator vanishes; None when one vanishes
     for all three.
     """
     n = f.homogeneous_degree()
-    layout = _layout((n, n - 1, n - 1))
     for swap in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
         g = MultiPoly(ZZ, f.vars, {tuple(e[i] for i in swap): c for e, c in f.terms.items()})
         _, gy, gz = (g.partial_derivative(v) for v in g.vars)
         binary = [[h.coefficient((0, n - 1 - j, j)) for j in range(n)] for h in (gy, gz)]
         sylvester = _rational_echelon(_sylvester(*binary))[1]
-        middle = _quotient(layout, (g, gy, gz), None) if sylvester else None
+        middle = _reference_quotient((g, gy, gz), (n, n - 1, n - 1)) if sylvester else None
         if middle is not None:
             value = Fraction(n ** ((n - 1) ** 2) * middle, sylvester)
             assert value.denominator == 1, f
@@ -886,15 +1002,8 @@ def test_smoothness_when_p_divides_the_degree(n, p, capsys):
             assert verdict == is_smooth_mod_p(fbar, p)
             verdicts.append(verdict)
             if n <= 4 or checked[verdict] < 3:
-                try:
-                    normalized = discriminant(f).normalized
-                except MacaulayDegenerateError:
-                    # a smooth form whose every integer retry degenerates is
-                    # still refused; the point oracles still apply
-                    normalized = None
-                if normalized is not None:
-                    assert verdict == (normalized % p != 0)
-                    checked[verdict] += 1
+                assert verdict == (discriminant(f).normalized % p != 0)
+                checked[verdict] += 1
             singular = singular_points_fp(fbar, p) or singular_points_fp2(fbar, p)
             if verdict:
                 assert not singular
