@@ -235,13 +235,13 @@ def _cmd_disc(args) -> int:
     _require_disc_budget("disc", f)
     if args.mod is not None or args.raw:
         disc = elimination.discriminant(f, normalize=False)
-        report = {"raw": str(disc.raw), "degree_check": disc.degree_check}
+        report = {"raw": f.domain.fmt(disc.raw), "degree_check": disc.degree_check}
         if args.mod is not None:
             report["mod"] = args.mod
         _emit(report)
         return 0
     report = elimination.discriminant(f, normalize=True)
-    _emit(report.to_json_dict())
+    _emit(report.to_json_dict(f.domain.fmt))
     return 0
 
 
@@ -255,7 +255,7 @@ def _cmd_good_reduction(args) -> int:
         {
             "s_set": sorted(s),
             "bad_primes_outside_s": sorted(bad),
-            "unfactored_cofactor": str(cofactor),
+            "unfactored_cofactor": f.domain.fmt(cofactor),
             "good_reduction_outside_s": not bad and cofactor == 1,
         }
     )
@@ -285,9 +285,9 @@ def _cmd_cubic_invariants(args) -> int:
     kappa_checked = 4 * Fraction(i_val) ** 3 - Fraction(j_val) ** 2 == cubic.KAPPA * Fraction(raw)
     _emit(
         {
-            "I": str(i_val),
-            "J": str(j_val),
-            "delta_IJ": str(cubic.delta_from_invariants(i_val, j_val)),
+            "I": f.domain.fmt(i_val),
+            "J": f.domain.fmt(j_val),
+            "delta_IJ": f.domain.fmt(cubic.delta_from_invariants(i_val, j_val)),
             "kappa_checked": kappa_checked,
         }
     )
@@ -304,8 +304,8 @@ def _cmd_tuple_equiv(args) -> int:
         _emit(
             {
                 "equivalent": True,
-                "alpha_candidates": [str(a) for a in witness.alpha_candidates],
-                "alpha_power_d": str(witness.alpha_power_d),
+                "alpha_candidates": [QQ.fmt(a) for a in witness.alpha_candidates],
+                "alpha_power_d": QQ.fmt(witness.alpha_power_d),
                 "d": witness.d,
                 "s_unit": witness.s_unit,
             }

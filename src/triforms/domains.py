@@ -82,7 +82,7 @@ class Domain:
         try:
             return str(a)
         except ValueError as exc:
-            raise BudgetExceededError(f"a coefficient is too long to print: {exc}") from exc
+            raise BudgetExceededError(f"a number is too long to print: {exc}") from exc
 
     def parse(self, text: str):
         raise NotImplementedError

@@ -12,9 +12,7 @@ Over GF(p) it is the classical Macaulay quotient det(M) / det(M'), M the
 square matrix at the critical degree 3(d-1)+1 whose row of a monomial m
 holds (m / v^d) g_v for the first variable v with m_v >= d, and M' its
 submatrix on the monomials divisible by at least two of the v^d.  When
-det(M') vanishes mod p the quotient is retried on the five permutations of
-the variables (an odd one multiplies the resultant by (-1)^d), and when
-all six vanish the hybrid determinant is taken mod p.
+det(M') vanishes mod p it is the hybrid determinant mod p instead.
 
 The curve discriminant is the resultant of the three partial derivatives,
 homogeneous of degree 3(n-1)^2 in the coefficients; dividing by the content
@@ -41,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import gcd
 
 from .domains import QQ, ZZ, PrimeField
@@ -367,28 +364,6 @@ def _quotient(layout: _Layout, forms, p: int) -> int | None:
     return _eliminate_mod_p(rows, p, w, layout.gaps) * pow(dprime, p - 2, p) % p
 
 
-def _permuted(g: MultiPoly, perm) -> MultiPoly:
-    """g with its variables permuted: exponent triple e becomes (e[perm[0]], ...)."""
-    terms = {tuple(e[v] for v in perm): c for e, c in g.terms.items()}
-    return MultiPoly._trusted(g.domain, g.vars, terms)
-
-
-def _permuted_retries(forms):
-    """(sign, forms) of each retry: the forms themselves, then their images
-    under the five other permutations of the variables.
-
-    A change of variables A multiplies the resultant of three d-ics by
-    det(A)^(d^3).  A permutation only relabels exponents, with no
-    substitution and no growth of the coefficients; an odd one has
-    det = -1, so its sign is (-1)^d.  The resultant is the sign times the
-    retry's Macaulay quotient.
-    """
-    d = forms[0].homogeneous_degree()
-    yield 1, forms
-    for perm in list(permutations(range(3)))[1:]:
-        yield _permutation_sign(perm) ** d, tuple(_permuted(g, perm) for g in forms)
-
-
 # -- the hybrid Sylvester-Bezout matrix -------------------------------------------
 
 
@@ -482,25 +457,6 @@ def _hybrid_rows(forms, d: int) -> list[list[int]]:
     return rows
 
 
-def _resultant_exact(forms, p: int | None):
-    """The resultant of three d-ics over ZZ (p None) or GF(p).
-
-    Over ZZ the hybrid determinant.  Over GF(p) the Macaulay quotient of
-    the first permutation of the variables whose det(M') is a unit, else
-    the hybrid determinant of the least-residue lifts mod p: an integer
-    polynomial in the coefficients, it reduces to the resultant mod p.
-    """
-    d = forms[0].homogeneous_degree()
-    if p is None:
-        return det_bareiss(_hybrid_rows(forms, d))
-    layout = _layout((d,) * 3)
-    for sign, moved in _permuted_retries(forms):
-        quotient = _quotient(layout, moved, p)
-        if quotient is not None:
-            return sign * quotient % p
-    return det_mod_p(_hybrid_rows(forms, d), p)
-
-
 def macaulay_resultant(g1: MultiPoly, g2: MultiPoly, g3: MultiPoly):
     """Classical resultant of three ternary forms of equal degree.
 
@@ -528,9 +484,12 @@ def macaulay_resultant(g1: MultiPoly, g2: MultiPoly, g3: MultiPoly):
         raise DegreeError("resultant needs positive degree")
 
     if dom == ZZ:
-        return _resultant_exact(forms, None)
+        return det_bareiss(_hybrid_rows(forms, d))
     if isinstance(dom, PrimeField):
-        return _resultant_exact(forms, dom.p)
+        # the hybrid determinant is an integer polynomial in the
+        # coefficients, so that of the least-residue lifts reduces to it
+        quotient = _quotient(_layout((d,) * 3), forms, dom.p)
+        return det_mod_p(_hybrid_rows(forms, d), dom.p) if quotient is None else quotient
     if dom == QQ:
         scaled = []
         correction = Fraction(1)
@@ -540,7 +499,7 @@ def macaulay_resultant(g1: MultiPoly, g2: MultiPoly, g3: MultiPoly):
                 lam = lam * c.denominator // gcd(lam, c.denominator)
             scaled.append(g.scale(Fraction(lam)).to_integers())
             correction *= Fraction(lam) ** (d * d)
-        return Fraction(_resultant_exact(tuple(scaled), None)) / correction
+        return Fraction(det_bareiss(_hybrid_rows(scaled, d))) / correction
     raise DomainMismatchError(f"resultant unsupported over {dom.name}")
 
 
@@ -587,11 +546,12 @@ class DiscriminantReport:
     normalized: object
     degree_check: int
 
-    def to_json_dict(self, fmt=str) -> dict:
+    def to_json_dict(self, fmt) -> dict:
+        """The report as JSON, each number printed by ``fmt`` (``Domain.fmt``)."""
         return {
             "degree": self.degree,
             "raw": fmt(self.raw),
-            "constant": None if self.constant is None else str(self.constant),
+            "constant": None if self.constant is None else fmt(self.constant),
             "normalized": None if self.normalized is None else fmt(self.normalized),
             "degree_check": self.degree_check,
         }

@@ -41,6 +41,7 @@ from operator import add
 
 from .domains import GF, QQ, ZZ, Domain, PrimeField
 from .errors import (
+    BudgetExceededError,
     DegreeError,
     DomainMismatchError,
     ExponentOverflowError,
@@ -483,6 +484,18 @@ _VAR_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")
 _NUM_TOKEN = re.compile(r"^\d+(?:/\d+)?$")
 
 
+def _read_literal(convert, text: str):
+    """A digit literal of the textual syntax, converted; one longer than
+    Python reads (4300 digits by default) is refused as over budget, a zero
+    denominator as a parse error."""
+    try:
+        return convert(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise BudgetExceededError(f"a number is too long to read: {exc}") from exc
+
+
 def infer_variables(names) -> tuple[str, ...]:
     """Pick the canonical alphabet ({x,y,z} or {x1..x3,z1..z3}) covering names."""
     names = set(names)
@@ -540,12 +553,12 @@ def parse_poly(text: str, variables=None, domain: Domain | None = None) -> Multi
             if _NUM_TOKEN.match(factor):
                 if "/" in factor:
                     saw_fraction = True
-                coeff *= Fraction(factor)
+                coeff *= _read_literal(Fraction, factor)
                 continue
             m = _VAR_TOKEN.match(factor)
             if not m:
                 raise ParseError(f"bad factor {factor!r} in term {chunk!r}")
-            name, exp = m.group(1), int(m.group(2) or 1)
+            name, exp = m.group(1), _read_literal(int, m.group(2) or "1")
             powers[name] = powers.get(name, 0) + exp
             seen_vars.add(name)
         raw_terms.append((sgn, coeff, powers))

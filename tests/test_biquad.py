@@ -539,6 +539,33 @@ def test_branch_locus_report_matches_per_point_reference(p):
     assert outcomes == {"degenerate", "report"}
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_restricted_disc_is_the_sextic_value_times_minus_4_over_the_pivot_squared(p):
+    # Cauchy-Binet: the line a.w = 0 is spanned by the integral vectors
+    # a_v e_k - a_k e_v and a_v e_l - a_l e_v, a_v the point's last nonzero
+    # coordinate, and the Gram determinant of the fiber conic on them is
+    # a_v^2 a^T Adj(G(a)) a = a_v^2 S(a); tangency_test spans the line by
+    # those vectors over a_v, so disc * a_v^2 = -4 S(a) in F_p at every
+    # point, a value identity that the zero pattern of branch_locus_report
+    # cannot see when S is off by a unit
+    rng = Random(2800 + p)
+    classes = drawn = 0
+    while classes < 4:
+        # 12, 9, 6 and 5 draws at p = 5, 7, 11 and 13
+        assert drawn < 40, "too few generic classes"
+        drawn += 1
+        cls = canonicalize(random_form22(GF(p), rng))
+        if cls.is_zero() or not is_generic_mod_p(cls, p):
+            continue
+        classes += 1
+        for side, sextic in (("x", covariant_x_ternary(cls)), ("z", covariant_z_ternary(cls))):
+            for point in projective_points_prime(p):
+                disc, _ = tangency_test(cls, point, side)
+                pivot = next(a for a in reversed(point) if a)
+                value = sextic.evaluate(list(point))
+                assert (disc * pivot**2 + 4 * value) % p == 0, (side, point, disc, value)
+
+
 @pytest.mark.parametrize("p", [3, 7, 13, 1031, 2**61 - 1])
 def test_line_values_match_pointwise_evaluation(p):
     # integer coefficients beyond [0, p), and term sets free of t, included;

@@ -1,6 +1,7 @@
 """CLI dispatch, output formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -17,7 +18,14 @@ from triforms.matrices import act_ternary, mat3_from_json
 from triforms.poly import VARS_XYZ, MultiPoly, parse_poly
 from triforms.suites import _monomials, random_form
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+# the package's source first on the child's path, as pytest's own
+# ``pythonpath`` setting reaches only the pytest process
+CLI_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+)
 
 
 def run_cli(*args):
@@ -25,6 +33,7 @@ def run_cli(*args):
         [sys.executable, "-m", "triforms.cli", *args],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     return proc
 
@@ -268,6 +277,51 @@ def test_covariants_too_long_to_print_refused(tmp_path, capsys):
     form.write_text(f"{tall}*x1^2*z1^2 + {tall}*x2^2*z2^2 + x3^2*z3^2 + x1*x2*z1*z3")
     assert cli.main(["covariants", "--form", str(form)]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["disc"], "quartic-170"),
+        (["disc", "--raw"], "quartic-170"),
+        (["good-reduction", "--s-set", "2"], "quartic-170"),
+        (["cubic-invariants"], "cubic-1000"),
+        (["disc"], "1" * 5001 + "*x^2 + y^2 + z^2"),
+        (["disc"], "x^" + "9" * 5000 + " + y^2 + z^2"),
+    ],
+    ids=["disc", "disc-raw", "good-reduction", "cubic-invariants", "long-literal",
+         "long-exponent"],
+)
+def test_numbers_past_the_int_str_limit_are_refused_with_budget(command, text, tmp_path, capsys):
+    # a dense quartic with 170-digit coefficients passes the disc budget
+    # (estimate 9782 ms) and has a raw value of 4602 digits; the cubic
+    # invariants of 1000-digit coefficients pass 4300 digits as well, and
+    # the last two inputs cannot be read
+    shapes = {"quartic-170": (4, 10**170), "cubic-1000": (3, 10**1000)}
+    form = tmp_path / "form.txt"
+    form.write_text(str(random_form(ZZ, Random(28), *shapes[text])) if text in shapes else text)
+    assert cli.main([*command, "--form", str(form)]) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["kind"] == "budget" and "is too long to" in error["message"]
+    assert "Traceback" not in err
+
+
+def test_tuple_equiv_past_the_int_str_limit_is_refused_with_budget(capsys):
+    big = "1" + "0" * 4000
+    args = ["tuple-equiv", "--t1", f"1/{big},0", "--t2", f"{big},0", "--weights", "2,2"]
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["kind"] == "budget" and "is too long to" in error["message"]
+    assert "Traceback" not in err
+
+
+def test_zero_denominator_in_a_text_form_is_a_parse_error(tmp_path, capsys):
+    form = tmp_path / "form.txt"
+    form.write_text("1/0*x^2 + y^2 + z^2")
+    assert cli.main(["disc", "--form", str(form)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_act_twisted_representation(tmp_path):

@@ -22,7 +22,6 @@ from triforms.elimination import (
     _layout,
     _minor_packed_rows,
     _pack,
-    _permuted_retries,
     _quotient,
     _residues,
     _shifted,
@@ -426,6 +425,16 @@ def test_hybrid_matrix_is_square_and_gives_res_of_powers_one(d):
     assert det_bareiss(rows) == 1
 
 
+def _permuted(g, perm):
+    """g with its variables permuted: exponent triple e becomes (e[perm[0]], ...)."""
+    return MultiPoly(g.domain, g.vars, {tuple(e[v] for v in perm): c for e, c in g.terms.items()})
+
+
+def _sign(perm):
+    """+1 or -1 as a permutation of (0, 1, 2) is even or odd."""
+    return (-1) ** sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_hybrid_determinant_is_the_reference_macaulay_quotient(d):
     # seeded dense and sparse integer triples; where det M' vanishes, the
@@ -440,14 +449,9 @@ def test_hybrid_determinant_is_the_reference_macaulay_quotient(d):
             drawn += 1
             forms = tuple(_sparse_form(ZZ, rng, d, density) for _ in range(3))
             for perm in permutations(range(3)):
-                moved = [
-                    MultiPoly(ZZ, g.vars, {tuple(e[v] for v in perm): c for e, c in g.terms.items()})
-                    for g in forms
-                ]
-                expected = _reference_quotient(moved, (d, d, d))
+                expected = _reference_quotient([_permuted(g, perm) for g in forms], (d, d, d))
                 if expected is not None:
-                    odd = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3)) % 2
-                    assert det_bareiss(_hybrid_rows(forms, d)) == (-1) ** (d * odd) * expected
+                    assert det_bareiss(_hybrid_rows(forms, d)) == _sign(perm) ** d * expected
                     checked += 1
                     break
 
@@ -560,57 +564,53 @@ def test_degenerate_minor_retry_path():
 
 
 def test_raw_discriminant_mod_p_when_every_retry_degenerates():
-    # every GF(5) retry of the Macaulay quotient degenerates for this smooth
-    # quartic; the value is the hybrid determinant mod 5
+    # the GF(5) Macaulay quotient of the partials of this smooth quartic
+    # degenerates (as it does on every permutation of the variables); the
+    # value is the hybrid determinant mod 5
     f = parse_poly(
         "4*x^3*y + 3*x^3*z + 3*x^2*y*z + x^2*z^2 + x*y^2*z + 4*x*y*z^2 + 2*y^3*z + 4*z^4"
     )
     fbar = f.reduce_mod_p(5)
     partials = tuple(fbar.partial_derivative(v) for v in fbar.vars)
-    layout = _layout((3, 3, 3))
-    assert all(_quotient(layout, moved, 5) is None for _, moved in _permuted_retries(partials))
+    assert _quotient(_layout((3, 3, 3)), partials, 5) is None
     raw = discriminant(fbar, normalize=False).raw
     assert raw == macaulay_resultant(*partials) == resultant_of_partials(f) % 5 != 0
     assert is_smooth_mod_p(f, 5) is True
 
 
-@pytest.mark.parametrize("p", [7, 10007])
-def test_permuted_retries_give_the_resultant_up_to_their_sign(p):
-    # each permutation of the variables yields its sign, (-1)^d when odd,
-    # and that sign times its quotient, where det M' != 0, is the resultant
-    rng = Random(5300 + p)
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF(7), GF(10007)], ids=str)
+def test_permuting_the_variables_multiplies_the_resultant_by_its_sign_to_the_d(domain):
+    # a change of variables A multiplies the resultant of three d-ics by
+    # det(A)^(d^3), and a permutation has det +1 or -1; over GF(p) the
+    # permuted triple may take the other path (quotient or hybrid)
+    rng = Random(str(domain))
     for d in (1, 2, 3, 4):
-        layout = _layout((d, d, d))
-        forms = tuple(random_form(GF(p), rng, d) for _ in range(3))
-        retries = list(_permuted_retries(forms))
-        assert [sign for sign, _ in retries] == [1] + [(-1) ** d, (-1) ** d, 1, 1, (-1) ** d]
-        expected = macaulay_resultant(*forms)
-        for sign, moved in retries:
-            quotient = _quotient(layout, moved, p)
-            if quotient is not None:
-                assert sign * quotient % p == expected
+        forms = tuple(random_form(domain, rng, d) for _ in range(3))
+        value = macaulay_resultant(*forms)
+        for perm in permutations(range(3)):
+            expected = value if _sign(perm) ** d == 1 else domain.neg(value)
+            assert macaulay_resultant(*(_permuted(g, perm) for g in forms)) == expected
 
 
 def test_gf2_triple_whose_retries_all_degenerate_has_resultant_1():
-    # no common zero over GF(2)-bar, yet the packed GF(2) quotient of every
-    # permutation of the variables degenerates; the hybrid determinant mod 2
-    # is 1, as is the integer resultant of the least-residue lifts
+    # no common zero over GF(2)-bar, yet the packed GF(2) quotient
+    # degenerates (as it does on every permutation of the variables); the
+    # hybrid determinant mod 2 is 1, as is the integer resultant of the
+    # least-residue lifts
     forms = tuple(parse_poly(t).reduce_mod_p(2) for t in ("y*z", "x^2 + x*y", "y^2 + z^2"))
-    layout = _layout((2, 2, 2))
-    assert all(_quotient(layout, moved, 2) is None for _, moved in _permuted_retries(forms))
+    assert _quotient(_layout((2, 2, 2)), forms, 2) is None
     assert macaulay_resultant(*forms) == 1
     assert macaulay_resultant(*(_lift(g) for g in forms)) == 1
 
 
-def test_gf2_triple_rescued_by_a_permutation_of_the_variables():
-    # the forms themselves and the first two permutations degenerate, the
-    # third answers, before the hybrid determinant
+def test_gf2_triple_whose_own_quotient_degenerates_has_resultant_1():
+    # the quotient of the forms as given degenerates, though one of a
+    # permutation of the variables would not; the hybrid determinant mod 2
+    # answers
     forms = tuple(
         parse_poly(t).reduce_mod_p(2) for t in ("y^2", "x*y + y^2 + z^2", "x^2 + y^2")
     )
-    layout = _layout((2, 2, 2))
-    quotients = [_quotient(layout, moved, 2) for _, moved in _permuted_retries(forms)]
-    assert quotients == [None, None, None, 1, None, None]
+    assert _quotient(_layout((2, 2, 2)), forms, 2) is None
     assert macaulay_resultant(*forms) == 1
 
 
@@ -618,9 +618,9 @@ def test_gf2_triple_rescued_by_a_permutation_of_the_variables():
 def test_sparse_mod_p_resultants_equal_the_lifts_resultant_mod_p(p, monkeypatch):
     # the GF(p) resultant is the reduction of the integer one; triples are
     # drawn, at degrees 1 to 3 and densities 0.3 to 0.6, until one with a
-    # nonzero resultant has every permuted Macaulay quotient degenerate and
-    # reaches the hybrid determinant mod p; that took 317, 24 and 33 draws
-    # at p = 2, 3 and 5, most of those that reached it sharing a zero
+    # nonzero resultant has a degenerate Macaulay quotient and reaches the
+    # hybrid determinant mod p; that took 12, 11 and 3 draws at p = 2, 3
+    # and 5
     reached = []
     original = elimination.det_mod_p
 
@@ -661,8 +661,8 @@ def test_integer_discriminant_when_every_retry_degenerates():
     # discriminant is 0
     f = parse_poly("6*x^3*z - 7*x^2*z^2 - 4*x*y*z^2 + 4*x*z^3")
     partials = [f.partial_derivative(v) for v in f.vars]
-    for _, moved in _permuted_retries(partials):
-        assert _reference_quotient(moved, (3, 3, 3)) is None
+    for perm in permutations(range(3)):
+        assert _reference_quotient([_permuted(g, perm) for g in partials], (3, 3, 3)) is None
     for g in (f, f.to_rationals()):
         report = discriminant(g)
         assert report.raw == 0 and report.normalized == 0
@@ -1039,7 +1039,7 @@ def test_rank_certificate_degree(monkeypatch):
 
 def test_resultant_of_coincident_partials_mod_2_is_zero():
     # x^3 + x^2 y + x z^2 + y^2 z + y z^2: the x- and y-partials coincide
-    # mod 2, so every Macaulay retry, and the integer lift's, degenerates;
+    # mod 2, so the Macaulay quotient, and the integer lift's, degenerates;
     # the common zero they share makes the resultant 0
     f = parse_poly("x^3 + x^2*y + x*z^2 + y^2*z + y*z^2").reduce_mod_p(2)
     assert resultant_of_partials(f) == 0
