@@ -578,18 +578,37 @@ def test_raw_discriminant_mod_p_when_every_retry_degenerates():
     assert is_smooth_mod_p(f, 5) is True
 
 
-@pytest.mark.parametrize("domain", [ZZ, QQ, GF(7), GF(10007)], ids=str)
-def test_permuting_the_variables_multiplies_the_resultant_by_its_sign_to_the_d(domain):
+def _check_permutation_sign_law(domain):
     # a change of variables A multiplies the resultant of three d-ics by
-    # det(A)^(d^3), and a permutation has det +1 or -1; over GF(p) the
-    # permuted triple may take the other path (quotient or hybrid)
+    # det(A)^(d^3), and a permutation has det +1 or -1; yields each checked
+    # triple and permutation
     rng = Random(str(domain))
     for d in (1, 2, 3, 4):
         forms = tuple(random_form(domain, rng, d) for _ in range(3))
         value = macaulay_resultant(*forms)
         for perm in permutations(range(3)):
             expected = value if _sign(perm) ** d == 1 else domain.neg(value)
-            assert macaulay_resultant(*(_permuted(g, perm) for g in forms)) == expected
+            moved = tuple(_permuted(g, perm) for g in forms)
+            assert macaulay_resultant(*moved) == expected
+            yield d, moved, expected
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ], ids=str)
+def test_permuting_the_variables_multiplies_the_resultant_by_its_sign_to_the_d(domain):
+    assert sum(1 for _ in _check_permutation_sign_law(domain)) == 4 * 6
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_permuted_retries_give_the_resultant_up_to_their_sign(p):
+    # over GF(p) a permuted triple may take the other path (quotient or
+    # hybrid); where its Macaulay quotient is defined it is the signed value
+    quotients = 0
+    for d, moved, expected in _check_permutation_sign_law(GF(p)):
+        quotient = _quotient(_layout((d, d, d)), moved, p)
+        if quotient is not None:
+            quotients += 1
+            assert quotient == expected
+    assert quotients > 0
 
 
 def test_gf2_triple_whose_retries_all_degenerate_has_resultant_1():
